@@ -7,10 +7,10 @@ reference; Fig. 6 fixes the flat layout the artifact stores).  Three
 startup paths over the same multi-contig reference:
 
 * ``cold build`` — construct a :class:`repro.api.Mapper` from records
-  in memory (graph + dict index from scratch), the per-process cost
+  in memory (graph + flat index from scratch), the per-process cost
   every fork-mode worker used to pay;
-* ``artifact build`` — flatten + write the versioned artifact, the
-  one-time cost of ``repro index build``;
+* ``artifact build`` — write the versioned artifact, the one-time
+  cost of ``repro index build``;
 * ``mmap attach`` — ``Mapper.from_artifact``, the per-process cost a
   persistent-pool worker pays (checksum verify included).
 

@@ -19,6 +19,8 @@ Public API highlights:
   behind the facade.
 * :func:`repro.build_graph` — variation-graph construction
   (``vg construct`` equivalent).
+* :func:`repro.build_index` — the three-level minimizer index
+  (:class:`repro.FlatIndex`, paper Fig. 6) of a graph.
 * :func:`repro.bitalign` — standalone sequence-to-graph alignment.
 * :mod:`repro.hw` — the hardware performance/area/power model.
 """
@@ -32,7 +34,7 @@ from repro.api import Mapper, MappingRecord
 from repro.graph.builder import BuiltGraph, Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph
 from repro.graph.linearize import LinearizedGraph, linearize
-from repro.index.hash_index import HashTableIndex, build_index
+from repro.index.flat_index import FlatIndex, build_index
 from repro.refs.reference import Contig, ReferenceSet
 
 __version__ = "1.1.0"
@@ -59,7 +61,7 @@ __all__ = [
     "GenomeGraph",
     "LinearizedGraph",
     "linearize",
-    "HashTableIndex",
+    "FlatIndex",
     "build_index",
     "__version__",
 ]

@@ -8,8 +8,6 @@
 * :mod:`repro.align.bitap` — the classic Wu–Manber Bitap algorithm
   (left-to-right, 1-active), an independent bitvector implementation
   used to cross-validate the GenASM-style machinery.
-* :mod:`repro.align.myers` — Myers' 1999 bit-vector algorithm, the
-  fastest practical software bitvector aligner for linear references.
 * :mod:`repro.align.genasm` — linear GenASM (right-to-left, 0-active
   Bitap with traceback), the MICRO'20 predecessor BitAlign extends.
 * :mod:`repro.align.bitalign_packed` — the GenASM recurrence over
@@ -44,11 +42,7 @@ from repro.align.bitalign_packed import (
     packed_generate,
 )
 from repro.align.bitap import bitap_search
-from repro.align.myers import myers_distance, myers_search
 from repro.align.genasm import genasm_align, genasm_distance
-from repro.align.affine import AffineScoring, affine_align, affine_cost
-from repro.align.banded import banded_distance
-from repro.align.wfa import wfa_edit_distance, wfa_fitting_distance
 
 __all__ = [
     "AlignmentBackend",
@@ -60,8 +54,6 @@ __all__ = [
     "packed_generate",
     "register_backend",
     "resolve_backend",
-    "wfa_edit_distance",
-    "wfa_fitting_distance",
     "edit_distance",
     "global_align",
     "semiglobal_align",
@@ -69,12 +61,6 @@ __all__ = [
     "graph_align",
     "graph_distance",
     "bitap_search",
-    "myers_distance",
-    "myers_search",
     "genasm_align",
     "genasm_distance",
-    "AffineScoring",
-    "affine_align",
-    "affine_cost",
-    "banded_distance",
 ]

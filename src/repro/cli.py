@@ -35,7 +35,7 @@ from repro.eval.report import format_table
 from repro.graph.builder import build_graph
 from repro.graph.gfa import read_gfa, write_gfa
 from repro.graph.linearize import hop_coverage, hop_length_distribution
-from repro.index.hash_index import build_index
+from repro.index.flat_index import build_index
 from repro.io.fasta import read_fasta, read_sequences
 from repro.io.gaf import GafWriter, result_to_gaf
 from repro.io.sam import SamWriter, result_to_sam
@@ -406,7 +406,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     """``repro index build <ref> -o ref.sgidx``: reference + flat
     index into a versioned, checksummed artifact."""
     from repro.api import as_reference_set
-    from repro.index.flat_index import build_flat_index
     from repro.io.artifact import write_index_artifact
 
     if args.jobs < 1:
@@ -430,7 +429,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         (refs._contigs[i].node_base, refs._contigs[i].node_end)
         for i in range(len(refs))
     ]
-    index = build_flat_index(
+    index = build_index(
         refs.graph, w=args.w, k=args.k,
         bucket_bits=args.bucket_bits, jobs=args.jobs,
         node_ranges=ranges,

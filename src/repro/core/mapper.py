@@ -35,7 +35,7 @@ from repro.core.windows import WindowedAligner, WindowingConfig
 from repro.core.alignment import Cigar, mapq_from_candidates
 from repro.graph.builder import BuiltGraph, Variant, build_graph
 from repro.graph.genome_graph import GenomeGraph, GraphError
-from repro.index.hash_index import HashTableIndex, build_index
+from repro.index.flat_index import FlatIndex, build_index
 from repro.index.occurrence import DEFAULT_TOP_FRACTION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -293,7 +293,7 @@ class SeGraM:
         graph: GenomeGraph,
         config: SeGraMConfig | None = None,
         built: BuiltGraph | None = None,
-        index: HashTableIndex | None = None,
+        index: FlatIndex | None = None,
         refs: "ReferenceSet | None" = None,
     ) -> None:
         if not graph.is_topologically_sorted():
@@ -350,7 +350,7 @@ class SeGraM:
         cls,
         refs: "ReferenceSet",
         config: SeGraMConfig | None = None,
-        index: HashTableIndex | None = None,
+        index: FlatIndex | None = None,
     ) -> "SeGraM":
         """Build over a multi-contig :class:`~repro.refs.ReferenceSet`.
 
@@ -361,8 +361,7 @@ class SeGraM:
         :meth:`from_reference` bit for bit (modulo the ``contig``
         annotation).  ``index`` skips the in-process index build —
         e.g. a :class:`~repro.index.FlatIndex` attached from an
-        artifact (:mod:`repro.io.artifact`), which implements the same
-        query contract.
+        artifact (:mod:`repro.io.artifact`).
         """
         return cls(refs.graph, config=config, refs=refs, index=index)
 

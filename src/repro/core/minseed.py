@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.graph.genome_graph import GenomeGraph
-from repro.index.hash_index import HashTableIndex
+from repro.index.flat_index import FlatIndex
 from repro.index.minimizer import Minimizer, minimizers
 from repro.index.occurrence import DEFAULT_TOP_FRACTION, frequency_threshold
 
@@ -112,7 +112,7 @@ class MinSeed:
 
     Args:
         graph: the topologically sorted genome graph.
-        index: the hash-table minimizer index of that graph.
+        index: the three-level minimizer index of that graph.
         error_rate: expected read error rate ``E`` used for the seed
             extension arithmetic (paper evaluates 1–10 %).
         freq_threshold: occurrence-frequency cutoff; minimizers with a
@@ -131,7 +131,7 @@ class MinSeed:
     def __init__(
         self,
         graph: GenomeGraph,
-        index: HashTableIndex,
+        index: FlatIndex,
         error_rate: float = 0.10,
         freq_threshold: int | None = None,
         freq_top_fraction: float = DEFAULT_TOP_FRACTION,
@@ -197,9 +197,9 @@ class MinSeed:
         regions: list[SeedRegion] = []
         seen_spans: set[tuple[int, int]] = set()
         for minimizer in read_minimizers:
-            stats.index_accesses += \
-                self.index.lookup_cost(minimizer.score).total_accesses
-            frequency = self.index.frequency(minimizer.score)
+            cost, row = self.index.probe(minimizer.score)
+            stats.index_accesses += cost.total_accesses
+            frequency = cost.locations_fetched
             if frequency == 0:
                 continue
             if frequency > self.freq_threshold:
@@ -207,9 +207,9 @@ class MinSeed:
                 continue
             a = minimizer.position
             b = a + k - 1
-            for hit in self.index.lookup(minimizer.score):
+            for node_id, node_offset in self.index.row_locations(row):
                 stats.seed_count += 1
-                c = self._offsets[hit.node_id] + hit.offset
+                c = self._offsets[node_id] + node_offset
                 d = c + k - 1
                 x = int(c - a * (1 + e))
                 y = int(d + (m - b - 1) * (1 + e))
@@ -227,7 +227,7 @@ class MinSeed:
                 regions.append(SeedRegion(
                     seed=Seed(
                         read_start=a, read_end=b,
-                        node_id=hit.node_id, node_offset=hit.offset,
+                        node_id=node_id, node_offset=node_offset,
                         graph_start=c, graph_end=d,
                         minimizer_hash=minimizer.score,
                         frequency=frequency,

@@ -37,7 +37,7 @@ from repro.hw.area_power import AreaPowerModel
 from repro.hw.bitalign_unit import BitAlignCycleModel
 from repro.hw.config import BitAlignUnitConfig
 from repro.hw.pipeline import SeGraMPerformanceModel, WorkloadProfile
-from repro.index.hash_index import build_index
+from repro.index.flat_index import build_index
 from repro.sim.errors import ErrorModel
 from repro.sim.longread import LongReadProfile, simulate_long_reads
 from repro.sim.shortread import ShortReadProfile, simulate_short_reads

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 # for API-history reasons.  # repro: allow[layering]
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.graph.builder import BuiltGraph, Variant, build_graph
-from repro.index.hash_index import HashTableIndex, build_index
+from repro.index.flat_index import FlatIndex, build_index
 
 
 @dataclass
@@ -28,7 +28,7 @@ class Chromosome:
 
     name: str
     built: BuiltGraph
-    index: HashTableIndex
+    index: FlatIndex
 
     @property
     def graph(self):

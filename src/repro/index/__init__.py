@@ -1,9 +1,10 @@
-"""Indexing substrate: minimizers and the hash-table-based graph index.
+"""Indexing substrate: minimizers and the flat three-level graph index.
 
 Implements the paper's second pre-processing step (Section 5): the
-three-level hash-table index (buckets -> minimizers -> seed locations,
-Fig. 6) over ``<w,k>``-minimizers of the graph's node sequences, plus
-the per-chromosome occurrence-frequency filter of Section 6.
+three-level index (buckets -> minimizers -> seed locations, Fig. 6)
+over ``<w,k>``-minimizers of the graph's node sequences, stored as
+flat arrays (:class:`FlatIndex`), plus the per-chromosome
+occurrence-frequency filter of Section 6.
 """
 
 from repro.index.minimizer import (
@@ -12,13 +13,12 @@ from repro.index.minimizer import (
     kmer_at,
     minimizers,
 )
-from repro.index.hash_index import (
-    HashTableIndex,
+from repro.index.flat_index import (
+    FlatIndex,
     IndexLayout,
     SeedHit,
     build_index,
 )
-from repro.index.flat_index import FlatIndex, build_flat_index
 from repro.index.occurrence import frequency_threshold
 
 __all__ = [
@@ -26,11 +26,9 @@ __all__ = [
     "minimizers",
     "brute_force_minimizers",
     "kmer_at",
-    "HashTableIndex",
+    "FlatIndex",
     "IndexLayout",
     "SeedHit",
     "build_index",
-    "FlatIndex",
-    "build_flat_index",
     "frequency_threshold",
 ]

@@ -1,14 +1,13 @@
-"""Flat (array-backed) three-level minimizer index (paper Fig. 6).
+"""Three-level minimizer index of a genome graph (paper Fig. 6).
 
-:class:`~repro.index.hash_index.HashTableIndex` keeps the index as a
-Python dict catalog — convenient, but impossible to serialize as the
-byte layout the paper specifies, and rebuilt from scratch by every
-process that needs it.  :class:`FlatIndex` stores the *same* index as
-six contiguous numpy arrays mirroring the paper's three levels:
+The index maps minimizer hash values to their exact-match locations in
+the graph's nodes.  :class:`FlatIndex` stores it as six contiguous
+numpy arrays mirroring the paper's three levels:
 
 1. **Buckets** — ``bucket_starts`` (one entry per bucket plus a
-   sentinel, 4 B each): cumulative offsets into the minimizer rows,
-   so bucket ``b`` owns rows ``[bucket_starts[b], bucket_starts[b+1])``.
+   sentinel, 4 B each): a minimizer hash is assigned to bucket
+   ``hash & (2^bucket_bits - 1)``, and bucket ``b`` owns minimizer rows
+   ``[bucket_starts[b], bucket_starts[b+1])``.
 2. **Minimizers** — ``min_hash`` / ``min_loc_start`` / ``min_loc_count``
    (8 + 4 + 4 B per distinct minimizer, the paper's 12 B rows widened
    to a 64-bit hash): rows are sorted by ``(bucket, hash)``, so a
@@ -17,37 +16,106 @@ six contiguous numpy arrays mirroring the paper's three levels:
    location): each row's locations are contiguous and sorted by
    ``(node, offset)``.
 
+The bucket count trades memory footprint against hash collisions
+(minimizers per bucket — more collisions mean more memory lookups per
+query); the paper's Fig. 7 sweeps it and settles on 2^24 for the human
+genome.  :meth:`FlatIndex.layout` reproduces both curves for any
+bucket width, using the paper's per-entry sizes below.
+
 Because the arrays are contiguous and position-independent they can be
 written to disk verbatim and attached read-only via ``mmap``
-(:mod:`repro.io.artifact`), which is the point: loading an index costs
-milliseconds instead of a full rebuild, and N worker processes share
-one physical copy of the pages.
-
-The query contract — :meth:`frequency`, :meth:`lookup`,
-:meth:`lookup_cost`, :meth:`layout` and the statistics properties — is
-bit-for-bit identical to the dict index (parity-tested in
-``tests/test_index_artifact.py``), so the two are interchangeable
-anywhere a :class:`HashTableIndex` is accepted.
+(:mod:`repro.io.artifact`): loading an index costs milliseconds
+instead of a full rebuild, and N worker processes share one physical
+copy of the pages.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.index.hash_index import (
-    HashTableIndex,
-    IndexLayout,
-    LookupCost,
-    SeedHit,
-)
 from repro.index.minimizer import Scoring, minimizers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.genome_graph import GenomeGraph
+
+#: Bytes per first-level bucket entry (paper Section 5).
+BUCKET_ENTRY_BYTES = 4
+
+#: Bytes per second-level minimizer entry (paper Section 5).
+MINIMIZER_ENTRY_BYTES = 12
+
+#: Bytes per third-level seed-location entry (paper Section 5).
+LOCATION_ENTRY_BYTES = 8
+
+
+@dataclass(frozen=True, order=True)
+class SeedHit:
+    """One seed location: a node ID and the offset within that node."""
+
+    node_id: int
+    offset: int
+
+
+@dataclass(frozen=True)
+class IndexLayout:
+    """Memory-footprint view of the index at a given bucket width.
+
+    Reproduces the two series of paper Fig. 7: the total footprint and
+    the maximum number of minimizers falling into one bucket.
+    """
+
+    bucket_bits: int
+    distinct_minimizers: int
+    total_locations: int
+    max_minimizers_per_bucket: int
+    max_locations_per_minimizer: int
+
+    @property
+    def bucket_count(self) -> int:
+        return 1 << self.bucket_bits
+
+    @property
+    def first_level_bytes(self) -> int:
+        return self.bucket_count * BUCKET_ENTRY_BYTES
+
+    @property
+    def second_level_bytes(self) -> int:
+        return self.distinct_minimizers * MINIMIZER_ENTRY_BYTES
+
+    @property
+    def third_level_bytes(self) -> int:
+        return self.total_locations * LOCATION_ENTRY_BYTES
+
+    @property
+    def total_bytes(self) -> int:
+        return (self.first_level_bytes + self.second_level_bytes
+                + self.third_level_bytes)
+
+
+@dataclass(frozen=True)
+class LookupCost:
+    """Memory-access accounting for one index query.
+
+    The hardware model charges one main-memory access for the bucket
+    probe, one per minimizer entry scanned within the bucket, and one
+    per seed location fetched (paper Section 8.1's frequency and seed
+    lookups).
+    """
+
+    bucket_probe: int
+    minimizers_scanned: int
+    locations_fetched: int
+
+    @property
+    def total_accesses(self) -> int:
+        return self.bucket_probe + self.minimizers_scanned \
+            + self.locations_fetched
 
 
 class FlatIndex:
@@ -150,81 +218,61 @@ class FlatIndex:
             w=w, k=k, bucket_bits=bucket_bits, scoring=scoring,
         )
 
-    @classmethod
-    def from_hash_index(cls, index: HashTableIndex) -> "FlatIndex":
-        """Flatten an existing dict-catalog index (same entries)."""
-        hashes: list[int] = []
-        nodes: list[int] = []
-        offsets: list[int] = []
-        for hash_value, hits in index.iter_entries():
-            for hit in hits:
-                hashes.append(hash_value)
-                nodes.append(hit.node_id)
-                offsets.append(hit.offset)
-        return cls.from_occurrences(
-            np.asarray(hashes, dtype=np.uint64),
-            np.asarray(nodes, dtype=np.uint32),
-            np.asarray(offsets, dtype=np.uint32),
-            w=index.w, k=index.k, bucket_bits=index.bucket_bits,
-            scoring=index.scoring,
-        )
-
     # ------------------------------------------------------------------
-    # Queries (contract-identical to HashTableIndex)
+    # Queries
     # ------------------------------------------------------------------
 
-    def _bucket_slice(self, hash_value: int) -> tuple[int, int]:
+    def probe(self, hash_value: int) -> tuple[LookupCost, int]:
+        """One binary search of the hash's bucket.
+
+        Returns the memory accesses a hardware query would issue and
+        the hash's minimizer row (-1 when absent).  The cost charges
+        the paper's linear in-bucket scan — up to and including the
+        first row whose hash is >= the query — plus one access per
+        location, so ``cost.locations_fetched`` is the frequency.
+        Every other query answers from this one search.
+        """
         bucket = hash_value & self._mask
-        return (int(self.bucket_starts[bucket]),
-                int(self.bucket_starts[bucket + 1]))
+        lo = self.bucket_starts.item(bucket)
+        hi = self.bucket_starts.item(bucket + 1)
+        # Buckets hold a handful of rows: a list bisect beats numpy's
+        # per-call overhead.
+        rows = self.min_hash[lo:hi].tolist()
+        position = bisect_left(rows, hash_value)
+        scanned = min(position + 1, hi - lo)
+        if position < len(rows) and rows[position] == hash_value:
+            row = lo + position
+            return LookupCost(1, scanned, self.min_loc_count.item(row)), row
+        return LookupCost(1, scanned, 0), -1
 
-    def _row_of(self, hash_value: int) -> int:
-        """Minimizer-row index of a hash, or -1 when absent."""
-        lo, hi = self._bucket_slice(hash_value)
-        if lo == hi:
-            return -1
-        row = lo + int(np.searchsorted(self.min_hash[lo:hi],
-                                       np.uint64(hash_value)))
-        if row < hi and int(self.min_hash[row]) == hash_value:
-            return row
-        return -1
+    def row_locations(self, row: int) -> list[tuple[int, int]]:
+        """``(node, offset)`` seed locations of a minimizer row from
+        :meth:`probe`, sorted; empty for row -1."""
+        if row < 0:
+            return []
+        start = self.min_loc_start.item(row)
+        stop = start + self.min_loc_count.item(row)
+        return list(zip(self.loc_node[start:stop].tolist(),
+                        self.loc_offset[start:stop].tolist()))
 
     def frequency(self, hash_value: int) -> int:
-        """Occurrence count of a minimizer (0 when absent)."""
-        row = self._row_of(hash_value)
-        return int(self.min_loc_count[row]) if row >= 0 else 0
+        """Occurrence count of a minimizer (0 when absent).
+
+        This is MinSeed's first memory round trip per minimizer
+        (step 3 in paper Fig. 4): fetch the frequency, then decide
+        whether to fetch the locations at all.
+        """
+        return self.probe(hash_value)[0].locations_fetched
 
     def lookup(self, hash_value: int) -> tuple[SeedHit, ...]:
-        """All seed locations of a minimizer, sorted (node, offset)."""
-        row = self._row_of(hash_value)
-        if row < 0:
-            return ()
-        start = int(self.min_loc_start[row])
-        stop = start + int(self.min_loc_count[row])
-        return tuple(
-            SeedHit(node_id=int(node), offset=int(offset))
-            for node, offset in zip(self.loc_node[start:stop],
-                                    self.loc_offset[start:stop])
-        )
+        """All seed locations of a minimizer (step 5 in paper Fig. 4)."""
+        row = self.probe(hash_value)[1]
+        return tuple(SeedHit(node_id=node, offset=offset)
+                     for node, offset in self.row_locations(row))
 
     def lookup_cost(self, hash_value: int) -> LookupCost:
-        """Memory accesses a hardware query would issue for this hash.
-
-        Charges the same linear in-bucket scan as the dict index: up
-        to and including the first row whose hash is >= the query.
-        """
-        lo, hi = self._bucket_slice(hash_value)
-        if lo == hi:
-            scanned = 0
-        else:
-            position = int(np.searchsorted(self.min_hash[lo:hi],
-                                           np.uint64(hash_value)))
-            scanned = min(position + 1, hi - lo)
-        return LookupCost(
-            bucket_probe=1,
-            minimizers_scanned=scanned,
-            locations_fetched=self.frequency(hash_value),
-        )
+        """Memory accesses a hardware query would issue for this hash."""
+        return self.probe(hash_value)[0]
 
     # ------------------------------------------------------------------
     # Statistics / layout
@@ -284,9 +332,8 @@ def scan_minimizer_occurrences(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(hash, node, offset) triples of nodes ``[node_lo, node_hi)``.
 
-    The same per-node minimizer enumeration as
-    :func:`~repro.index.hash_index.build_index`, returned as arrays;
-    ranges partition cleanly because minimizers never span nodes.
+    Minimizers are computed *within* node sequences, so ranges
+    partition cleanly and nodes shorter than ``k`` contribute none.
     """
     if node_hi is None:
         node_hi = graph.node_count
@@ -342,7 +389,7 @@ def _split_ranges(ranges: Sequence[tuple[int, int]],
     return chunks
 
 
-def build_flat_index(
+def build_index(
     graph: "GenomeGraph",
     w: int = 10,
     k: int = 15,
@@ -351,7 +398,16 @@ def build_flat_index(
     jobs: int = 1,
     node_ranges: Iterable[tuple[int, int]] | None = None,
 ) -> FlatIndex:
-    """Index a graph directly into the flat layout.
+    """Index the ``<w,k>``-minimizers of every node sequence of a graph.
+
+    Minimizers are computed *within* node sequences (the paper indexes
+    "the minimizers' exact matching locations in the graphs' nodes",
+    Section 5); seeds spanning node boundaries are not indexed, which
+    is why variation-dense regions rely on the alignment step's
+    tolerance.  Defaults follow minimap2's short-read-profile
+    ``<w,k>`` with a scaled-down bucket width; the paper uses 2^24
+    buckets for the 3.1 Gbp human genome, and the Fig. 7 benchmark
+    sweeps this parameter.
 
     ``node_ranges`` (half-open, e.g. the per-contig node ranges of a
     :class:`~repro.refs.ReferenceSet`) shards the scan; with

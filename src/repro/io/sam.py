@@ -210,8 +210,11 @@ def pair_to_sam(pair: "PairResult", read1: str, read2: str,
     recommended practice, an unmapped mate whose partner is mapped is
     co-located with it (RNAME/POS copied from the mapped mate — the
     *mate's* contig, never a hard-coded single reference name — with
-    RNEXT ``=``) so coordinate sorts keep the pair together.
+    RNEXT ``=``) so coordinate sorts keep the pair together.  Both
+    records carry the pair's name as QNAME, without the ``/1`` /
+    ``/2`` mate suffix: the spec requires mates to share one QNAME.
     """
+    qname = _checked_name(pair.name, "QNAME", pair.name)
     results = (pair.mate1, pair.mate2)
     reads = (read1, read2)
     index_flags = (FLAG_FIRST_IN_PAIR, FLAG_SECOND_IN_PAIR)
@@ -226,9 +229,10 @@ def pair_to_sam(pair: "PairResult", read1: str, read2: str,
         elif mate.strand == "-":
             flag |= FLAG_MATE_REVERSE
         mapq = me.mapq_with(proper_pair=pair.proper)
-        records.append(result_to_sam(me, read, reference_name,
-                                     flag_extra=flag, mapq=mapq,
-                                     pair_category=pair.category))
+        record = result_to_sam(me, read, reference_name,
+                               flag_extra=flag, mapq=mapq,
+                               pair_category=pair.category)
+        records.append(replace(record, qname=qname))
     rec1, rec2 = records
     if pair.mate1.mapped and pair.mate2.mapped \
             and rec1.rname != rec2.rname:
@@ -515,21 +519,24 @@ def validate_sam_record(record: SamRecord) -> None:
 def validate_sam_pair(rec1: SamRecord, rec2: SamRecord) -> None:
     """Cross-checks on the two records of one pair.
 
-    Both must carry the paired flag with complementary mate-index
-    bits, the mate-state bits (0x8/0x20) must mirror the other record,
-    RNEXT/PNEXT must point at each other (``=`` for intra-contig
-    mates, the mate's RNAME for mates on different contigs — which
-    must also carry the ``different_reference`` category and TLEN 0),
-    the signed TLENs must cancel, and the ``YC:Z:`` pair-category
-    tags must agree with each other and with the FLAG bits
-    (proper <=> category "proper"; a mate-unmapped bit <=> an
-    unmapped-mate category).
+    Both must share one QNAME and carry the paired flag with
+    complementary mate-index bits, the mate-state bits (0x8/0x20)
+    must mirror the other record, RNEXT/PNEXT must point at each
+    other (``=`` for intra-contig mates, the mate's RNAME for mates
+    on different contigs — which must also carry the
+    ``different_reference`` category and TLEN 0), the signed TLENs
+    must cancel, and the ``YC:Z:`` pair-category tags must agree with
+    each other and with the FLAG bits (proper <=> category "proper";
+    a mate-unmapped bit <=> an unmapped-mate category).
     """
     for rec in (rec1, rec2):
         validate_sam_record(rec)
         if not rec.is_paired:
             raise SamFormatError(f"{rec.qname}: pair record missing "
                                  "FLAG 0x1")
+    if rec1.qname != rec2.qname:
+        raise SamFormatError(f"mate QNAMEs differ: {rec1.qname!r} vs "
+                             f"{rec2.qname!r}")
     if rec1.pair_category != rec2.pair_category:
         raise SamFormatError(
             f"{rec1.qname}: pair-category tags disagree "

@@ -1,7 +1,7 @@
 """Service-level counters: queue depth, batch sizes, latencies.
 
 Kept separate from the mapping-domain statistics
-(:class:`~repro.core.stats.PipelineStats` /
+(:class:`~repro.core.pipeline.PipelineStats` /
 :class:`~repro.core.pairing.PairStats`) — those describe *what the
 pipeline did to reads*; this module describes *how the daemon served
 requests*.  The ``stats`` endpoint returns both side by side.

@@ -1,9 +1,8 @@
 """Cross-validation of the linear bitvector aligners.
 
-Four independent implementations of fitting-alignment semantics are
+Three independent implementations of fitting-alignment semantics are
 checked against each other: the vectorized DP (:mod:`dp_linear`), the
-1-active left-to-right Bitap, Myers' bit-vector algorithm, and the
-0-active right-to-left GenASM.  Any disagreement indicates a bug in
+1-active left-to-right Bitap, and the 0-active right-to-left GenASM.  Any disagreement indicates a bug in
 one of them — this is the foundation BitAlign's correctness rests on.
 """
 
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from repro.align.bitap import bitap_distance, bitap_search
 from repro.align.dp_linear import semiglobal_distance
 from repro.align.genasm import genasm_align, genasm_distance
-from repro.align.myers import myers_distance, myers_search
 from repro.core.alignment import replay_alignment
 
 text_strategy = st.text(alphabet="ACGT", min_size=0, max_size=80)
@@ -47,41 +45,6 @@ class TestBitap:
             assert found == dp
         else:
             assert found is None
-
-
-class TestMyers:
-    def test_exact_occurrence(self):
-        assert myers_distance("AAACGTAAA", "ACGT") == 0
-
-    def test_empty_text(self):
-        assert myers_distance("", "ACGT") == 4
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            myers_search("ACGT", "")
-
-    @settings(max_examples=200, deadline=None)
-    @given(text_strategy, pattern_strategy)
-    def test_matches_dp(self, text, pattern):
-        dp, _ = semiglobal_distance(text, pattern)
-        assert myers_distance(text, pattern) == dp
-
-    @settings(max_examples=50, deadline=None)
-    @given(text_strategy.filter(bool), pattern_strategy)
-    def test_per_position_scores_match_dp_columns(self, text, pattern):
-        """Myers' score at position i == best distance of pattern vs a
-        substring ending at i."""
-        scores = dict(myers_search(text, pattern))
-        for end in range(1, len(text) + 1):
-            best = min(
-                semiglobal_distance(text[start:end], pattern)[0]
-                # distance of pattern against text[start:end] aligned to
-                # its very end:
-                for start in range(end + 1)
-            )
-            # semiglobal frees both flanks; score[i] anchors the end, so
-            # score[i] >= best over substrings (cannot beat free flanks).
-            assert scores[end - 1] >= best
 
 
 class TestGenasm:
@@ -127,7 +90,7 @@ class TestGenasm:
 
 
 class TestAgreementMatrix:
-    """All four implementations agree on a batch of tricky fixed cases."""
+    """All three implementations agree on a batch of tricky fixed cases."""
 
     CASES = [
         ("ACGTACGT", "ACGT"),
@@ -143,7 +106,6 @@ class TestAgreementMatrix:
     @pytest.mark.parametrize("text,pattern", CASES)
     def test_agreement(self, text, pattern):
         dp, _ = semiglobal_distance(text, pattern)
-        assert myers_distance(text, pattern) == dp
         assert bitap_distance(text, pattern, k=len(pattern)) == dp
         genasm = genasm_distance(text, pattern, k=len(pattern))
         assert genasm is not None and genasm[0] == dp

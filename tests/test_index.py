@@ -1,4 +1,4 @@
-"""Tests for the three-level hash-table index."""
+"""Tests for the three-level minimizer index (paper Fig. 6)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.graph.genome_graph import GenomeGraph
-from repro.index.hash_index import (
+from repro.index.flat_index import (
     BUCKET_ENTRY_BYTES,
     LOCATION_ENTRY_BYTES,
     MINIMIZER_ENTRY_BYTES,
@@ -106,11 +106,7 @@ class TestLayout:
 class TestLookupCost:
     def test_cost_components(self, indexed_graph):
         _, index = indexed_graph
-        some_hash = next(iter(index.frequencies()))  # just a frequency
-        # Pick an actual indexed hash.
-        hash_value = None
-        for node_hash, hits in list(index._catalog.items())[:1]:
-            hash_value = node_hash
+        hash_value = int(index.min_hash[0])  # an indexed hash
         cost = index.lookup_cost(hash_value)
         assert cost.bucket_probe == 1
         assert cost.minimizers_scanned >= 1

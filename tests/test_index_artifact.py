@@ -2,8 +2,8 @@
 
 Covers the zero-copy artifact contract end to end:
 
-* :class:`~repro.index.FlatIndex` parity with the dict-catalog
-  :class:`~repro.index.HashTableIndex` on every query of the
+* :class:`~repro.index.FlatIndex` parity with a brute-force
+  ``minimizers()`` scan of every node on every query of the
   ``frequency`` / ``lookup`` / ``lookup_cost`` / ``layout`` contract;
 * artifact round trip (build -> write -> mmap attach) with
   bit-identical mapping results, and version/checksum rejection of
@@ -22,8 +22,14 @@ import pytest
 from repro import seq as seqmod
 from repro.api import Mapper
 from repro.core.mapper import SeGraMConfig
-from repro.index.flat_index import FlatIndex, build_flat_index
-from repro.index.hash_index import build_index
+from repro.index.flat_index import (
+    FlatIndex,
+    IndexLayout,
+    LookupCost,
+    SeedHit,
+    build_index,
+)
+from repro.index.minimizer import minimizers
 from repro.io.artifact import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -86,65 +92,123 @@ class TestPackBases:
             pack_bases("ACGN")
 
 
+def brute_force_catalog(graph, w: int, k: int) -> dict[int, list]:
+    """hash -> sorted (node, offset) by scanning every node directly."""
+    catalog: dict[int, list] = {}
+    for node in graph.nodes():
+        for m in minimizers(node.sequence, w=w, k=k):
+            catalog.setdefault(m.score, []).append((node.node_id,
+                                                    m.position))
+    return {h: sorted(hits) for h, hits in catalog.items()}
+
+
+def brute_force_cost(catalog, hash_value: int,
+                     bucket_bits: int) -> LookupCost:
+    """The paper's linear in-bucket scan, up to and including the
+    first minimizer whose hash is >= the query."""
+    mask = (1 << bucket_bits) - 1
+    bucket = sorted(h for h in catalog if h & mask == hash_value & mask)
+    scanned = 0
+    for candidate in bucket:
+        scanned += 1
+        if candidate >= hash_value:
+            break
+    return LookupCost(bucket_probe=1, minimizers_scanned=scanned,
+                      locations_fetched=len(catalog.get(hash_value, ())))
+
+
 class TestFlatIndexParity:
-    """FlatIndex must match the dict index bit for bit."""
+    """FlatIndex must match a brute-force minimizer scan bit for bit."""
 
     @pytest.fixture(scope="class")
     def indexes(self, mapper):
-        dict_index = build_index(mapper.graph, w=CONFIG.w, k=CONFIG.k,
-                                 bucket_bits=CONFIG.bucket_bits)
-        return dict_index, FlatIndex.from_hash_index(dict_index)
+        catalog = brute_force_catalog(mapper.graph, CONFIG.w, CONFIG.k)
+        flat = build_index(mapper.graph, w=CONFIG.w, k=CONFIG.k,
+                           bucket_bits=CONFIG.bucket_bits)
+        return catalog, flat
 
     def test_present_hashes(self, indexes):
-        dict_index, flat = indexes
-        for hash_value, hits in dict_index.iter_entries():
-            assert flat.frequency(hash_value) == \
-                dict_index.frequency(hash_value)
-            assert flat.lookup(hash_value) == hits
-            assert flat.lookup_cost(hash_value) == \
-                dict_index.lookup_cost(hash_value)
+        catalog, flat = indexes
+        for hash_value, hits in catalog.items():
+            assert flat.frequency(hash_value) == len(hits)
+            assert flat.lookup(hash_value) == \
+                tuple(SeedHit(node, offset) for node, offset in hits)
+            assert flat.lookup_cost(hash_value) == brute_force_cost(
+                catalog, hash_value, CONFIG.bucket_bits)
 
     def test_absent_hashes(self, indexes):
-        dict_index, flat = indexes
+        catalog, flat = indexes
         rng = random.Random(9)
         probes = [0, 1, 2**22 - 1, 2**60 + 13] + \
             [rng.randrange(2**CONFIG.k * 2) for _ in range(200)]
         for hash_value in probes:
-            assert flat.frequency(hash_value) == \
-                dict_index.frequency(hash_value)
-            assert flat.lookup(hash_value) == \
-                dict_index.lookup(hash_value)
-            assert flat.lookup_cost(hash_value) == \
-                dict_index.lookup_cost(hash_value)
+            if hash_value in catalog:
+                continue
+            assert flat.frequency(hash_value) == 0
+            assert flat.lookup(hash_value) == ()
+            assert flat.lookup_cost(hash_value) == brute_force_cost(
+                catalog, hash_value, CONFIG.bucket_bits)
+
+    def test_probe_answers_every_query(self, indexes):
+        catalog, flat = indexes
+        for hash_value in list(catalog)[:100] + [0, 2**60 + 13]:
+            cost, row = flat.probe(hash_value)
+            assert cost == flat.lookup_cost(hash_value)
+            assert cost.locations_fetched == flat.frequency(hash_value)
+            assert tuple(SeedHit(*loc) for loc in flat.row_locations(row)) \
+                == flat.lookup(hash_value)
+            assert (row >= 0) == (hash_value in catalog)
 
     def test_layout_across_bucket_widths(self, indexes):
-        dict_index, flat = indexes
+        catalog, flat = indexes
         for bits in (4, 8, 10, 14, 18):
-            assert flat.layout(bits) == dict_index.layout(bits)
+            per_bucket: dict[int, int] = {}
+            for h in catalog:
+                bucket = h & ((1 << bits) - 1)
+                per_bucket[bucket] = per_bucket.get(bucket, 0) + 1
+            assert flat.layout(bits) == IndexLayout(
+                bucket_bits=bits,
+                distinct_minimizers=len(catalog),
+                total_locations=sum(map(len, catalog.values())),
+                max_minimizers_per_bucket=max(per_bucket.values()),
+                max_locations_per_minimizer=max(
+                    map(len, catalog.values())),
+            )
 
     def test_statistics(self, indexes):
-        dict_index, flat = indexes
-        assert flat.distinct_minimizers == \
-            dict_index.distinct_minimizers
-        assert flat.total_locations == dict_index.total_locations
+        catalog, flat = indexes
+        assert flat.distinct_minimizers == len(catalog)
+        assert flat.total_locations == \
+            sum(len(hits) for hits in catalog.values())
         assert sorted(flat.frequencies()) == \
-            sorted(dict_index.frequencies())
+            sorted(len(hits) for hits in catalog.values())
 
-    def test_direct_build_matches_flattened(self, mapper, indexes):
-        _, flat = indexes
-        direct = build_flat_index(mapper.graph, w=CONFIG.w,
-                                  k=CONFIG.k,
-                                  bucket_bits=CONFIG.bucket_bits)
-        for name in ("bucket_starts", "min_hash", "min_loc_start",
-                     "min_loc_count", "loc_node", "loc_offset"):
-            assert np.array_equal(getattr(direct, name),
-                                  getattr(flat, name)), name
+    def test_direct_build_matches_flattened(self, indexes):
+        """The built arrays equal the brute-force catalog flattened by
+        hand into the three levels: rows by (bucket, hash), locations
+        contiguous per row."""
+        catalog, flat = indexes
+        mask = (1 << CONFIG.bucket_bits) - 1
+        rows = sorted(catalog, key=lambda h: (h & mask, h))
+        counts = [len(catalog[h]) for h in rows]
+        per_bucket = np.bincount([h & mask for h in rows],
+                                 minlength=mask + 1)
+        expected = {
+            "bucket_starts": np.concatenate(([0], np.cumsum(per_bucket))),
+            "min_hash": np.array(rows, dtype=np.uint64),
+            "min_loc_start": np.concatenate(([0], np.cumsum(counts)[:-1])),
+            "min_loc_count": np.array(counts),
+            "loc_node": [node for h in rows for node, _ in catalog[h]],
+            "loc_offset": [off for h in rows for _, off in catalog[h]],
+        }
+        for name, array in expected.items():
+            assert np.array_equal(getattr(flat, name), array), name
 
     def test_parallel_build_matches_sequential(self, mapper, indexes):
         _, flat = indexes
         ranges = [(c.node_base, c.node_end)
                   for c in mapper.reference._contigs]
-        parallel = build_flat_index(
+        parallel = build_index(
             mapper.graph, w=CONFIG.w, k=CONFIG.k,
             bucket_bits=CONFIG.bucket_bits, jobs=2,
             node_ranges=ranges,

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.minseed import MinSeed
 from repro.graph.genome_graph import GenomeGraph
-from repro.index.hash_index import build_index
+from repro.index import build_index
 from repro.sim.reference import random_reference
 
 

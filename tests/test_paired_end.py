@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.pairing import PairedEndConfig, PairedEndMapper
 from repro.core.windows import WindowingConfig
 from repro.eval.metrics import evaluate_paired_mappings
 from repro.io.sam import (
+    SamFormatError,
     pair_to_sam,
     read_sam,
     validate_sam_pair,
@@ -286,11 +288,9 @@ class TestPairSamEmission:
             forward = rec2 if rec1.is_reverse else rec1
             assert forward.tlen > 0
             # Reverse-strand SEQ is the reverse complement of the read.
-            read_of = {rec1.qname: read1, rec2.qname: read2}
-            for rec in (rec1, rec2):
-                expected = seqmod.reverse_complement(
-                    read_of[rec.qname]) if rec.is_reverse \
-                    else read_of[rec.qname]
+            for rec, read in ((rec1, read1), (rec2, read2)):
+                expected = seqmod.reverse_complement(read) \
+                    if rec.is_reverse else read
                 assert rec.seq == expected
         assert checked > 0
 
@@ -316,3 +316,19 @@ class TestPairSamEmission:
         assert rec2.rname == rec1.rname and rec2.pos == rec1.pos
         assert rec1.rnext == "=" and rec2.rnext == "="
         assert rec1.pnext == rec1.pos and rec2.pnext == rec1.pos
+
+    def test_mates_share_the_pair_qname(self, acceptance_workload):
+        """SAM requires one QNAME per template: the pair's name, with
+        no ``/1`` / ``/2`` mate suffix."""
+        _, _, _, pairs, results = acceptance_workload
+        pair, (_, read1, read2) = results[0], pairs[0]
+        rec1, rec2 = pair_to_sam(pair, read1, read2, "chr1")
+        assert rec1.qname == rec2.qname == pair.name
+        assert pair.mate1.read_name == f"{pair.name}/1"
+
+    def test_differing_mate_qnames_rejected(self, acceptance_workload):
+        _, _, _, pairs, results = acceptance_workload
+        pair, (_, read1, read2) = results[0], pairs[0]
+        rec1, rec2 = pair_to_sam(pair, read1, read2, "chr1")
+        with pytest.raises(SamFormatError, match="QNAME"):
+            validate_sam_pair(rec1, replace(rec2, qname=f"{pair.name}/2"))

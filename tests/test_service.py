@@ -177,7 +177,8 @@ class TestServiceCoreSerial:
         result = response["result"]
         assert len(result["mates"]) == 2
         assert result["mates"][0]["record"]["paired"]
-        assert result["mates"][0]["sam"]["qname"] == "p0/1"
+        assert result["mates"][0]["sam"]["qname"] == "p0"
+        assert result["mates"][1]["sam"]["qname"] == "p0"
 
     def test_invalid_read_is_typed(self, core):
         response = core.handle_line('{"op": "map", "read": "ACGTX?"}')

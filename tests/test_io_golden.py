@@ -6,6 +6,12 @@ checked in under ``tests/golden/``.  Any refactor of the pipeline, the
 alignment backends, or the writers that silently changes output
 formatting (or mapping results) fails here first.
 
+A second golden SAM pins ``early_exit_distance``: on a repeat-rich
+reference the exit fires part-way through some reads' region lists
+and never for others, so the reported placement, and the MAPQ that
+the second-best distance calibrates, depend on exactly where the
+align rounds stop.
+
 Regenerate after an *intentional* output change with::
 
     PYTHONPATH=src python tests/test_io_golden.py --regenerate
@@ -36,11 +42,13 @@ from repro.io.sam import (
     validate_sam_record,
     write_sam,
 )
-from repro.sim.reference import random_reference
+from repro.sim.reference import random_reference, \
+    reference_with_repeats
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SAM = GOLDEN_DIR / "expected.sam"
 GOLDEN_GAF = GOLDEN_DIR / "expected.gaf"
+GOLDEN_EARLY_EXIT_SAM = GOLDEN_DIR / "expected_early_exit.sam"
 
 REFERENCE_NAME = "chr_golden"
 
@@ -93,6 +101,63 @@ def _render() -> tuple[str, str]:
                    for result, sequence in results]
     write_gaf(gaf_buffer, [r for r in gaf_records if r is not None])
     return sam_buffer.getvalue(), gaf_buffer.getvalue()
+
+
+#: The early-exit golden's exit distance.
+EARLY_EXIT_DISTANCE = 4
+
+
+def _early_exit_workload() -> tuple[str, list[tuple[str, str]]]:
+    """A repeat-rich reference and reads with 0-9 substitutions.
+
+    Reads drawn from diverged repeat copies align at several loci
+    within a few edits of each other; their distance to the exit
+    decides how many regions each orientation aligns.
+    """
+    rng = random.Random(3)
+    reference = reference_with_repeats(4_000, rng, repeat_fraction=0.5,
+                                       repeat_length=300,
+                                       family_count=2)
+    reads = []
+    for i in range(16):
+        start = rng.randrange(0, len(reference) - 150)
+        read = list(reference[start:start + 150])
+        for position in rng.sample(range(150),
+                                   rng.choice([0, 2, 3, 4, 5, 9])):
+            read[position] = rng.choice(
+                [b for b in "ACGT" if b != read[position]])
+        sequence = "".join(read)
+        if rng.random() < 0.5:
+            sequence = seqmod.reverse_complement(sequence)
+        reads.append((f"r{i}", sequence))
+    return reference, reads
+
+
+def _early_exit_mapper(reference: str,
+                       backend: str | None = None) -> SeGraM:
+    config = SeGraMConfig(
+        w=10, k=15, bucket_bits=12, error_rate=0.10,
+        windowing=WindowingConfig(window_size=128, overlap=48, k=16),
+        max_seeds_per_read=6, both_strands=True,
+        early_exit_distance=EARLY_EXIT_DISTANCE,
+        align_backend=backend,
+    )
+    return SeGraM.from_reference(reference, config=config,
+                                 name=REFERENCE_NAME,
+                                 max_node_length=1_024)
+
+
+def _render_early_exit(backend: str | None = None) -> str:
+    """Map the early-exit workload and render it as SAM."""
+    reference, reads = _early_exit_workload()
+    mapper = _early_exit_mapper(reference, backend)
+    buffer = io.StringIO()
+    write_sam(buffer,
+              [result_to_sam(mapper.map_read(sequence, name),
+                             sequence, REFERENCE_NAME)
+               for name, sequence in reads],
+              REFERENCE_NAME, len(reference))
+    return buffer.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -192,13 +257,43 @@ class TestGoldenOutput:
         assert buffer.getvalue() == gaf_text
 
 
+class TestEarlyExitGolden:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_sam_matches_golden_bytes(self, backend):
+        assert GOLDEN_EARLY_EXIT_SAM.exists(), \
+            "early-exit golden missing; run this module with " \
+            "--regenerate"
+        assert _render_early_exit(backend).encode("ascii") == \
+            GOLDEN_EARLY_EXIT_SAM.read_bytes()
+
+    def test_workload_cuts_region_lists(self):
+        """The exit must fire part-way for some reads and never for
+        others, or the golden stops pinning where the cut falls."""
+        reference, reads = _early_exit_workload()
+        mapper = _early_exit_mapper(reference)
+        results = [mapper.map_read(sequence, name)
+                   for name, sequence in reads]
+        assert any(r.distance is not None
+                   and r.distance <= EARLY_EXIT_DISTANCE
+                   and r.regions_aligned > 1 for r in results)
+        assert any(r.distance is not None
+                   and r.distance > EARLY_EXIT_DISTANCE
+                   for r in results)
+        stats = mapper.stats
+        assert 0 < stats.stage("align").dropped \
+            < stats.regions_chained
+
+
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     sam_text, gaf_text = _render()
     GOLDEN_SAM.write_bytes(sam_text.encode("ascii"))
     GOLDEN_GAF.write_bytes(gaf_text.encode("ascii"))
-    print(f"wrote {GOLDEN_SAM} ({len(sam_text)} bytes) and "
-          f"{GOLDEN_GAF} ({len(gaf_text)} bytes)")
+    early_exit_text = _render_early_exit()
+    GOLDEN_EARLY_EXIT_SAM.write_bytes(early_exit_text.encode("ascii"))
+    print(f"wrote {GOLDEN_SAM} ({len(sam_text)} bytes), "
+          f"{GOLDEN_GAF} ({len(gaf_text)} bytes) and "
+          f"{GOLDEN_EARLY_EXIT_SAM} ({len(early_exit_text)} bytes)")
 
 
 if __name__ == "__main__":

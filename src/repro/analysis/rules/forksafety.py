@@ -1,10 +1,10 @@
 """Rule ``fork-safety``: worker code must not share mutable state or
 unpicklable resources with the parent process.
 
-The pipeline runs in three process models — in-process, fork-per-call
-sharding (``run_sharded``), and the reusable
-:class:`~repro.core.pipeline.PersistentPool` — with a bit-for-bit
-parity contract between them.  That contract survives only if worker
+The pipeline runs in-process or on the workers of
+:class:`~repro.core.pipeline.PersistentPool` — forked from the parent
+per batch by ``run_sharded``, or attached to an index artifact — with
+a bit-for-bit parity contract between them.  That contract survives only if worker
 code obeys the copy-on-write rules:
 
 * a forked worker that *writes* module-level state mutates its own

@@ -433,12 +433,13 @@ class Mapper:
 
         ``reads`` holds ``(name, sequence)`` pairs, or bare sequence
         strings (auto-named ``read0``, ``read1``, ...).  ``jobs > 1``
-        forks per-batch workers; a :class:`~repro.core.pipeline.
+        forks a worker pool per batch; a :class:`~repro.core.pipeline.
         PersistentPool` (see :meth:`pool`) serves the batch from
         standing artifact-attached workers instead.
-        ``coalesce=True`` maps each shard through one cross-read
-        batched kernel dispatch instead of a per-read loop — the
-        mapping service's serving mode.  Results come back in input
+        ``coalesce=True`` maps each shard in one call, so its reads
+        share kernel dispatches, instead of one call per read — the
+        mapping service's serving mode, faster but holding every
+        window's traceback rows at once.  Results come back in input
         order and are identical to mapping each read alone, for any
         ``jobs``, either pool mode, and either dispatch shape.
         """

@@ -69,8 +69,10 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                              "filter (pipeline step 2 of Fig. 2)")
     parser.add_argument("--early-exit-distance", type=int,
                         default=None,
-                        help="stop scanning regions once an alignment "
-                             "at or below this distance is found")
+                        help="align regions in rounds and stop once an "
+                             "alignment at or below this distance is "
+                             "found; regions past the exit are "
+                             "extracted but not aligned")
     parser.add_argument("--cache-size", type=int, default=128,
                         help="LRU region-cache capacity in regions "
                              "(0 disables; default 128)")
@@ -84,20 +86,23 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
 def _engine_config(args: argparse.Namespace) -> SeGraMConfig:
     """The :class:`SeGraMConfig` described by :func:`_add_engine_args`
     flags (``w``/``k``/``bucket_bits`` are overridden by the artifact
-    when attaching to one)."""
-    return SeGraMConfig(
-        w=args.w, k=args.k, bucket_bits=args.bucket_bits,
-        error_rate=args.error_rate,
-        windowing=WindowingConfig(),
-        max_seeds_per_read=args.max_seeds,
-        top_n_alignments=args.top_n,
-        hop_limit=args.hop_limit,
-        both_strands=args.both_strands,
-        chaining=args.chaining,
-        early_exit_distance=args.early_exit_distance,
-        region_cache_size=args.cache_size,
-        align_backend=args.align_backend,
-    )
+    when attaching to one).  An invalid value exits with ``error:``."""
+    try:
+        return SeGraMConfig(
+            w=args.w, k=args.k, bucket_bits=args.bucket_bits,
+            error_rate=args.error_rate,
+            windowing=WindowingConfig(),
+            max_seeds_per_read=args.max_seeds,
+            top_n_alignments=args.top_n,
+            hop_limit=args.hop_limit,
+            both_strands=args.both_strands,
+            chaining=args.chaining,
+            early_exit_distance=args.early_exit_distance,
+            region_cache_size=args.cache_size,
+            align_backend=args.align_backend,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -178,10 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "of rebuilding the index")
     map_cmd.add_argument("--pool", choices=("fork", "persistent"),
                          default="fork",
-                         help="worker mode for --jobs > 1: 'fork' "
-                              "per batch (default), or a standing "
-                              "'persistent' pool whose workers "
-                              "attach to the --index artifact")
+                         help="worker pool for --jobs > 1: forked "
+                              "from this process per batch (default), "
+                              "or 'persistent' workers that attach to "
+                              "the --index artifact once")
     map_cmd.add_argument("--vcf", type=Path, default=None)
     map_cmd.add_argument("--reads", required=True, type=Path,
                          help="reads (FASTA/FASTQ); R1 when --paired "

@@ -16,9 +16,9 @@ cases of Section 9:
 
 Mapping itself is delegated to the staged pipeline engine of
 :mod:`repro.core.pipeline` (``seed -> filter/chain -> extract ->
-align -> select``): :meth:`SeGraM.map_read` is a thin driver over the
-stage list, :meth:`SeGraM.map_batch` shards a read set across forked
-workers, and per-stage counters accumulate in
+align -> select``): :meth:`SeGraM.map_read` maps a batch of one,
+:meth:`SeGraM.map_batch` maps a read set, optionally sharded across
+a worker pool, and per-stage counters accumulate in
 ``SeGraM.pipeline.stats`` (a :class:`~repro.core.pipeline.PipelineStats`).
 """
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
 
-from repro import seq as seqmod
 from repro.core.minseed import MinSeed, SeedingStats
 from repro.core.pipeline import MappingPipeline, PipelineStats, \
     map_batch_sharded
@@ -56,9 +55,10 @@ class SeGraMConfig:
         windowing: BitAlign windowing parameters.
         hop_limit: hardware hop-queue depth (12 in the paper); None
             aligns exactly with unlimited hops.
-        max_seeds_per_read: optional cap on candidate regions aligned
-            per read (the paper aligns all; benchmarks use a cap to
-            bound pure-Python runtime — always stated where used).
+        max_seeds_per_read: optional cap (>= 1) on candidate regions
+            aligned per read (the paper aligns all; benchmarks use a
+            cap to bound pure-Python runtime — always stated where
+            used).
         top_n_alignments: how many of the best alignments per
             orientation survive the align stage (paper: MinSeed keeps
             multiple seed regions alive so BitAlign can pick the true
@@ -67,12 +67,15 @@ class SeGraMConfig:
             grid of both mates, so repeat ties pair correctly without
             a rescue alignment.  1 reproduces the old single-winner
             behaviour.
-        early_exit_distance: stop trying further regions once an
-            alignment at or below this distance is found (None = try
-            all regions, the paper's behaviour).  Regions skipped by
-            the early exit contribute no candidates, so second-best
-            distances — and therefore MAPQ calibration — only see the
-            regions aligned before the exit fired.
+        early_exit_distance: stop aligning an oriented read's regions
+            once one of them aligns at or below this distance (>= 0;
+            None = align all regions, the paper's behaviour).  Regions
+            are then aligned in rounds, one region per unfinished
+            oriented read per round, in filter order; regions past the
+            exit are extracted but never aligned.  They contribute no
+            candidates, so second-best distances — and therefore MAPQ
+            calibration — only see the regions aligned before the exit
+            fired.
         both_strands: also map the reverse-complemented read and keep
             the better orientation.
         chaining: enable the optional colinear-chaining filter
@@ -108,6 +111,18 @@ class SeGraMConfig:
             raise ValueError(
                 f"top_n_alignments must be >= 1, "
                 f"got {self.top_n_alignments}"
+            )
+        if self.max_seeds_per_read is not None \
+                and self.max_seeds_per_read < 1:
+            raise ValueError(
+                f"max_seeds_per_read must be >= 1, "
+                f"got {self.max_seeds_per_read}"
+            )
+        if self.early_exit_distance is not None \
+                and self.early_exit_distance < 0:
+            raise ValueError(
+                f"early_exit_distance must be >= 0, "
+                f"got {self.early_exit_distance}"
             )
         if self.align_backend is not None:
             # Validate eagerly: an unknown name used to surface as a
@@ -376,16 +391,7 @@ class SeGraM:
         :mod:`repro.seq`): seeding skips k-mers containing ``N`` and
         each ``N`` costs one edit in alignment.
         """
-        read = seqmod.validate(read, "read", allow_ambiguous=True)
-        return self.pipeline.map_read(read, name)
-
-    def map_reads(self, reads: Iterable[tuple[str, str]],
-                  jobs: int = 1) -> list[MappingResult]:
-        """Map (name, sequence) pairs; returns one result per read.
-
-        ``jobs > 1`` delegates to :meth:`map_batch`.
-        """
-        return self.map_batch(reads, jobs=jobs)
+        return self.pipeline.map_reads([(name, read)])[0]
 
     def map_batch(self, reads: Iterable[tuple[str, str]],
                   jobs: int = 1, pool=None,
@@ -393,40 +399,20 @@ class SeGraM:
         """Map a batch of (name, sequence) pairs, optionally sharded
         across ``jobs`` worker processes.
 
-        The index is built once here and shared with the workers via
-        ``fork`` (copy-on-write); per-shard stage statistics are merged
-        into ``self.pipeline.stats``.  A
+        ``jobs > 1`` forks a worker pool that inherits this mapper
+        (index and region cache) copy-on-write; a
         :class:`~repro.core.pipeline.PersistentPool` dispatches the
-        shards to standing artifact-attached workers instead (``jobs``
-        is then ignored).  ``coalesce=True`` maps each shard through
-        one cross-read batched kernel dispatch
-        (:meth:`map_reads_coalesced`) instead of a per-read loop.
-        Results are returned in input order and are identical to
-        calling :meth:`map_read` per read — the batch/sequential
-        parity contract the tests enforce — for any ``jobs``, pool
-        mode, and ``coalesce`` setting.
+        shards to its standing workers instead (``jobs`` is then
+        ignored).  Per-shard stage statistics are merged into
+        ``self.pipeline.stats``.  ``coalesce=True`` maps each shard in
+        one :meth:`~repro.core.pipeline.MappingPipeline.map_reads`
+        call, so the windows of every read share kernel dispatches,
+        instead of one call per read.  Results are returned in input
+        order and are identical to calling :meth:`map_read` per read
+        for any ``jobs``, pool, and ``coalesce`` setting.
         """
         return map_batch_sharded(self, list(reads), jobs, pool=pool,
                                  coalesce=coalesce)
-
-    def map_reads_coalesced(
-            self, reads: Iterable[tuple[str, str]],
-    ) -> list[MappingResult]:
-        """Map (name, sequence) pairs through **one** cross-read
-        batched alignment dispatch (in-process, no sharding).
-
-        Bit-for-bit identical to a :meth:`map_read` loop; the windows
-        of every read, region, and orientation share kernel calls
-        (see :meth:`~repro.core.pipeline.MappingPipeline.
-        map_reads_batched`).  This is the dispatch shape the mapping
-        service's micro-batcher feeds.
-        """
-        validated = [
-            (name, seqmod.validate(sequence, "read",
-                                   allow_ambiguous=True))
-            for name, sequence in reads
-        ]
-        return self.pipeline.map_reads_batched(validated)
 
     # ------------------------------------------------------------------
     # Paired-end mapping
@@ -447,7 +433,7 @@ class SeGraM:
     def map_pairs(self, pairs: Iterable[tuple[str, str, str]],
                   jobs: int = 1):
         """Map ``(name, read1, read2)`` pairs with the default pairing
-        config (``jobs > 1`` shards across forked workers)."""
+        config (``jobs > 1`` shards across a forked worker pool)."""
         return self._default_pair_mapper().map_pairs(list(pairs),
                                                      jobs=jobs)
 

@@ -3,13 +3,15 @@
 SeGraM's hardware is an explicit pipeline: MinSeed units produce
 candidate regions that flow through queues into BitAlign units, with
 per-stage scratchpads acting as caches (Sections 6-8).  This module
-expresses the same decomposition in software.  Mapping one oriented
-read is a pass over four composable stages::
+expresses the same decomposition in software.  Every oriented read
+(forward and, optionally, reverse-complement) passes through three
+per-read stages::
 
-    seed -> filter/chain -> extract+linearize -> align
+    seed -> filter/chain -> extract+linearize
 
-followed by a fifth *select* stage that folds the per-orientation
-results (forward / reverse-complement) into the final
+then the *align* stage aligns the collected regions of a whole batch
+of oriented reads through shared kernel dispatches, and a *select*
+stage folds each read's per-orientation results into the final
 :class:`~repro.core.mapper.MappingResult`.  Each stage reports typed
 counters (items in/out, dropped, wall time) into a
 :class:`PipelineStats` object, the software analogue of the paper's
@@ -33,15 +35,16 @@ Two throughput features ride on the stage boundary:
   (:meth:`MappingPipeline.prefetch_span`), and its share of the
   traffic is reported separately (``pair_cache_hits`` /
   ``pair_cache_misses`` in :class:`PipelineStats`).
-* a **batch engine** (:func:`map_batch_sharded`) — shards a read set
-  across ``multiprocessing`` workers.  The index is built once in the
-  parent and shared with the workers via ``fork`` (copy-on-write), so
-  workers start with a warm region cache; per-shard
-  :class:`PipelineStats` are merged back into the parent's.
+* a **worker pool** (:class:`PersistentPool`) — :func:`run_sharded`
+  splits a read set into contiguous shards and maps them on worker
+  processes, either forked from the parent (the index and a warm
+  region cache are inherited copy-on-write) or attached to an
+  ``.sgidx`` artifact by path; per-shard :class:`PipelineStats` are
+  merged back into the parent's.
 
-Results are bit-for-bit identical to the former monolithic
-``SeGraM._map_oriented`` loop: stage boundaries, the cache, and
-sharding change *when* work happens, never *what* is computed.
+Batching, the cache and sharding change *when* work happens, never
+*what* is computed: results are bit-for-bit those of mapping each
+read alone.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import seq as seqmod
 from repro.core.chaining import chain_regions
@@ -83,8 +86,11 @@ class StageStats:
         items_in: work items entering the stage (reads for ``seed`` and
             ``select``, regions for the middle stages).
         items_out: items surviving the stage.
-        dropped: items discarded by the stage (filter cap / chaining,
-            or regions skipped by the early-exit knob in ``align``).
+        dropped: items discarded by the stage: regions cut by the
+            filter cap or chaining, or, in ``align``, regions left
+            unaligned by ``early_exit_distance`` (regions are aligned
+            in rounds; those past the exit are extracted but never
+            aligned).
         seconds: wall time spent inside the stage.
     """
 
@@ -327,16 +333,12 @@ class PreparedRegion:
 
 
 @dataclass
-class PreparedRead:
-    """A seeded read plus its lazily-extracted region stream.
-
-    Laziness preserves the monolith's behaviour: with
-    ``early_exit_distance`` set, regions past the exit point are never
-    extracted at all.
-    """
+class CollectedRead:
+    """Output of the extract stage: one oriented read's alignment
+    work list, every kept region extracted and anchored."""
 
     seeded: SeededRead
-    stream: Iterator[PreparedRegion]
+    regions: list[PreparedRegion]
 
 
 # ----------------------------------------------------------------------
@@ -401,58 +403,42 @@ class ChainFilterStage:
 class ExtractStage:
     """Step 3: subgraph extraction + linearization, memoized.
 
-    The returned stream is lazy; each pull performs (or recalls from
-    the :class:`RegionCache`) one ``extract_region`` + ``linearize``
-    and computes the seed anchor in linearized coordinates.
+    Each region is extracted (or recalled from the
+    :class:`RegionCache`) and its seed anchored in linearized
+    coordinates.
     """
 
     name = "extract"
 
     def run(self, seeded: SeededRead,
-            pipe: "MappingPipeline") -> PreparedRead:
-        return PreparedRead(seeded=seeded,
-                            stream=self._stream(seeded, pipe))
-
-    def _stream(self, seeded: SeededRead,
-                pipe: "MappingPipeline") -> Iterator[PreparedRegion]:
+            pipe: "MappingPipeline") -> CollectedRead:
         stats = pipe.stats.stage(self.name)
-        for region in seeded.regions:
-            start = time.perf_counter()
-            lo, hi = pipe.node_range(region.start, region.end)
-            key = (lo, hi, pipe.config.hop_limit)
-            entry = pipe.cache.lookup(key)
-            if entry is None:
-                pipe.stats.cache_misses += 1
-                entry = pipe.build_region_entry(lo, hi)
-                pipe.cache.store(key, entry)
-            else:
-                pipe.stats.cache_hits += 1
-            # The seed is an exact match: anchor the windowed aligner
-            # at its position (paper Fig. 9's left/right extensions).
-            local_node = entry.original_ids.index(region.seed.node_id)
-            anchor = (entry.offsets[local_node] + region.seed.node_offset,
-                      region.seed.read_start)
-            stats.items_in += 1
-            stats.items_out += 1
-            stats.seconds += time.perf_counter() - start
-            yield PreparedRegion(region=region, lin=entry.lin,
-                                 original_ids=entry.original_ids,
-                                 anchor=anchor)
-
-
-@dataclass
-class CollectedRead:
-    """One oriented read's fully-extracted alignment work list.
-
-    Produced by :meth:`AlignStage.collect` on the batched path:
-    every candidate region is drained from the extract stream up
-    front so the windows of many regions (and of both orientations)
-    can share batched kernel dispatches.  Extraction order — and so
-    the region-cache traffic — is identical to the sequential path.
-    """
-
-    seeded: SeededRead
-    regions: list[PreparedRegion]
+        regions: list[PreparedRegion] = []
+        with _timed(stats):
+            for region in seeded.regions:
+                lo, hi = pipe.node_range(region.start, region.end)
+                key = (lo, hi, pipe.config.hop_limit)
+                entry = pipe.cache.lookup(key)
+                if entry is None:
+                    pipe.stats.cache_misses += 1
+                    entry = pipe.build_region_entry(lo, hi)
+                    pipe.cache.store(key, entry)
+                else:
+                    pipe.stats.cache_hits += 1
+                # The seed is an exact match: anchor the windowed
+                # aligner at its position (paper Fig. 9's left/right
+                # extensions).
+                local_node = entry.original_ids.index(
+                    region.seed.node_id)
+                anchor = (entry.offsets[local_node]
+                          + region.seed.node_offset,
+                          region.seed.read_start)
+                regions.append(PreparedRegion(
+                    region=region, lin=entry.lin,
+                    original_ids=entry.original_ids, anchor=anchor))
+            stats.items_in += len(regions)
+            stats.items_out += len(regions)
+        return CollectedRead(seeded=seeded, regions=regions)
 
 
 class AlignStage:
@@ -468,74 +454,24 @@ class AlignStage:
     result's reported placement, exactly as the old single-winner
     stage chose it.
 
-    The stage has two drive modes with bit-identical results:
-    :meth:`run` aligns regions one by one as the extract stream yields
-    them (required for the ``early_exit_distance`` knob, whose exit
-    decision depends on each alignment in turn), while
-    :meth:`collect` + :meth:`commit` split the stage around a batched
-    :meth:`~repro.core.windows.WindowedAligner.align_many` dispatch so
-    many regions — across orientations — share kernel calls.
+    The align work itself is dispatched by
+    :meth:`MappingPipeline._align_collected`, which batches the regions
+    of many oriented reads through
+    :meth:`~repro.core.windows.WindowedAligner.align_many`;
+    :meth:`commit` folds one oriented read's alignments back into its
+    result.
     """
 
     name = "align"
 
-    def run(self, prepared: PreparedRead,
-            pipe: "MappingPipeline") -> "MappingResult":
-        from repro.core.mapper import MappingResult
-
-        stats = pipe.stats.stage(self.name)
-        seeded = prepared.seeded
-        task = seeded.task
-        result = MappingResult(
-            read_name=task.name, read_length=len(task.sequence),
-            mapped=False, strand=task.strand, seeding=seeded.stats,
-        )
-        stats.items_in += len(seeded.regions)
-        candidates: "list[AlignmentCandidate]" = []
-        best_distance: int | None = None
-        for region in prepared.stream:
-            with _timed(stats):
-                aligned = pipe.aligner.align(
-                    region.lin, task.sequence, anchor=region.anchor,
-                    counters=pipe.stats,
-                )
-                result.regions_aligned += 1
-                stats.items_out += 1
-                pipe.stats.regions_aligned += 1
-                pipe.stats.windows += aligned.windows
-                pipe.stats.rescues += aligned.rescues
-                candidates.append(
-                    self._candidate(aligned, region, task.strand,
-                                    pipe))
-                if best_distance is None \
-                        or aligned.distance < best_distance:
-                    best_distance = aligned.distance
-            if (pipe.config.early_exit_distance is not None
-                    and best_distance is not None
-                    and best_distance
-                    <= pipe.config.early_exit_distance):
-                break
-        stats.dropped += len(seeded.regions) - result.regions_aligned
-        commit_candidates(result, candidates,
-                          pipe.config.top_n_alignments)
-        return result
-
-    def collect(self, prepared: PreparedRead,
-                pipe: "MappingPipeline") -> CollectedRead:
-        """Drain the extract stream into an alignment work list."""
-        stats = pipe.stats.stage(self.name)
-        regions = list(prepared.stream)
-        stats.items_in += len(prepared.seeded.regions)
-        return CollectedRead(seeded=prepared.seeded, regions=regions)
-
     def commit(self, collected: CollectedRead, aligned_list,
                pipe: "MappingPipeline") -> "MappingResult":
-        """Fold batched alignment results back into a read result.
+        """Fold one oriented read's alignments into its result.
 
         ``aligned_list`` holds one
-        :class:`~repro.core.windows.WindowedAlignment` per collected
-        region, in region order — the accounting and candidate
-        commitment are those of :meth:`run` without the early exit.
+        :class:`~repro.core.windows.WindowedAlignment` per aligned
+        region, in region order: every collected region, or a prefix
+        of them when ``early_exit_distance`` stopped the rounds.
         """
         from repro.core.mapper import MappingResult
 
@@ -549,12 +485,13 @@ class AlignStage:
         candidates: "list[AlignmentCandidate]" = []
         for region, aligned in zip(collected.regions, aligned_list):
             result.regions_aligned += 1
-            stats.items_out += 1
-            pipe.stats.regions_aligned += 1
             pipe.stats.windows += aligned.windows
             pipe.stats.rescues += aligned.rescues
             candidates.append(
                 self._candidate(aligned, region, task.strand, pipe))
+        pipe.stats.regions_aligned += result.regions_aligned
+        stats.items_in += len(seeded.regions)
+        stats.items_out += result.regions_aligned
         stats.dropped += len(seeded.regions) - result.regions_aligned
         commit_candidates(result, candidates,
                           pipe.config.top_n_alignments)
@@ -752,9 +689,8 @@ class MappingPipeline:
         # Node starts in the global character space, for the O(log n)
         # span -> node-range cache-key computation.
         self._node_starts = graph.offsets()
+        self.stages = (SeedStage(), ChainFilterStage(), ExtractStage())
         self.align_stage = AlignStage()
-        self.stages = (SeedStage(), ChainFilterStage(), ExtractStage(),
-                       self.align_stage)
         self.select = SelectStage()
         self.reset_stats()
 
@@ -822,145 +758,120 @@ class MappingPipeline:
         if backend_name is not None:
             self.stats.backend = backend_name
 
-    def map_read(self, read: str, name: str) -> "MappingResult":
-        """Map one (validated) read through the staged pipeline.
+    def map_reads(
+        self, reads: Sequence[tuple[str, str]],
+    ) -> "list[MappingResult]":
+        """Map ``(name, sequence)`` reads; one result per read.
 
-        Without the ``early_exit_distance`` knob, all candidate
-        regions of *both* orientations are collected first and
-        aligned through one batched dispatch (bit-identical results,
-        fewer kernel calls); with the knob the sequential stage drive
-        is kept, since the exit decision consumes each alignment in
-        turn.
+        Reads may contain ``N`` (the read-side ambiguity policy of
+        :mod:`repro.seq`); any other non-ACGT base raises before any
+        read is mapped.  Stages 1-3 run per oriented read in input
+        order, :meth:`_align_collected` aligns the regions of every
+        oriented read through shared kernel dispatches, and stage 5
+        selects per read.  Results are bit-for-bit those of mapping
+        each read alone: the batch decides how kernel work is
+        dispatched, never what is computed.
         """
-        if self.config.early_exit_distance is not None:
-            forward = self._run_oriented(read, name, "+")
-            reverse = None
-            if self.config.both_strands:
-                reverse = self._run_oriented(
-                    seqmod.reverse_complement(read), name, "-",
-                )
-            return self.select.run(forward, reverse, self)
-        collected = [self._collect_oriented(read, name, "+")]
-        if self.config.both_strands:
-            collected.append(self._collect_oriented(
-                seqmod.reverse_complement(read), name, "-"))
-        results = self._align_collected(collected)
-        reverse = results[1] if len(results) > 1 else None
-        return self.select.run(results[0], reverse, self)
+        validated = [
+            (name, seqmod.validate(sequence, "read",
+                                   allow_ambiguous=True))
+            for name, sequence in reads
+        ]
+        return [best for best, _, _ in
+                self._map(validated, self.config.both_strands)]
 
     def map_read_candidates(
         self, read: str, name: str,
     ) -> "tuple[MappingResult, MappingResult, MappingResult]":
-        """Map one read on *both* strands, exposing the candidates.
+        """Map one (validated) read on *both* strands, exposing the
+        per-orientation candidates.
 
         Returns ``(best, forward, reverse)``: the per-orientation
         results of stages 1-4 plus the stage-5 selection over them.
         The paired-end driver scores orientation combinations of the
         two mates, so it needs both candidates, not only the winner;
-        ``best`` is identical to :meth:`map_read` under
+        ``best`` is identical to :meth:`map_reads` under
         ``both_strands=True`` (FR pairing always considers both).
         """
-        if self.config.early_exit_distance is not None:
-            forward = self._run_oriented(read, name, "+")
-            reverse = self._run_oriented(
-                seqmod.reverse_complement(read), name, "-",
-            )
-        else:
-            forward, reverse = self._align_collected([
-                self._collect_oriented(read, name, "+"),
-                self._collect_oriented(
-                    seqmod.reverse_complement(read), name, "-"),
-            ])
-        best = self.select.run(forward, reverse, self)
-        return best, forward, reverse
+        return self._map([(name, read)], both_strands=True)[0]
 
-    def _run_oriented(self, read: str, name: str,
-                      strand: str) -> "MappingResult":
+    def _map(
+        self, reads: Sequence[tuple[str, str]], both_strands: bool,
+    ) -> "list[tuple[MappingResult, MappingResult, MappingResult | None]]":
+        """``(best, forward, reverse)`` per read (``reverse`` is None
+        unless ``both_strands``)."""
+        collected: list[CollectedRead] = []
+        for name, sequence in reads:
+            collected.append(self._collect(sequence, name, "+"))
+            if both_strands:
+                collected.append(self._collect(
+                    seqmod.reverse_complement(sequence), name, "-"))
+        results = self._align_collected(collected)
+        step = 2 if both_strands else 1
+        out = []
+        for i in range(0, len(results), step):
+            forward = results[i]
+            reverse = results[i + 1] if both_strands else None
+            out.append((self.select.run(forward, reverse, self),
+                        forward, reverse))
+        return out
+
+    def _collect(self, read: str, name: str,
+                 strand: str) -> CollectedRead:
+        """Stages 1-3 for one oriented read."""
         item = ReadTask(name=name, sequence=read, strand=strand)
         for stage in self.stages:
             item = stage.run(item, self)
         return item
 
-    def _collect_oriented(self, read: str, name: str,
-                          strand: str) -> CollectedRead:
-        """Stages 1-3 plus region collection for one orientation."""
-        item = ReadTask(name=name, sequence=read, strand=strand)
-        for stage in self.stages[:-1]:
-            item = stage.run(item, self)
-        return self.align_stage.collect(item, self)
-
-    def map_reads_batched(
-        self, reads: Sequence[tuple[str, str]],
-    ) -> "list[MappingResult]":
-        """Map many ``(name, sequence)`` reads through **one**
-        cross-read batched alignment dispatch.
-
-        The per-read path (:meth:`map_read`) already batches the
-        windows of one read's regions and orientations into shared
-        kernel calls; this entry point widens the batch axis across
-        *reads*: stages 1-3 run per oriented read in input order
-        (identical region-cache traffic), then every collected region
-        of every read goes through a single
-        :meth:`~repro.core.windows.WindowedAligner.align_many`
-        dispatch, and stage 5 selects per read.  Results are
-        bit-for-bit identical to mapping each read alone — batching
-        changes *when* kernel work happens, never what is computed.
-        This is the dispatch shape the mapping service's micro-batch
-        coalescer feeds (:mod:`repro.service`): the wider the batch,
-        the better the word-packed kernel amortizes per-dispatch
-        overhead.
-
-        With ``early_exit_distance`` set the sequential per-read
-        drive is kept (the exit decision consumes each alignment in
-        turn), exactly as :meth:`map_read` does.
-        """
-        if self.config.early_exit_distance is not None:
-            return [self.map_read(sequence, name)
-                    for name, sequence in reads]
-        collected: list[CollectedRead] = []
-        spans: list[int] = []
-        for name, sequence in reads:
-            per_read = [self._collect_oriented(sequence, name, "+")]
-            if self.config.both_strands:
-                per_read.append(self._collect_oriented(
-                    seqmod.reverse_complement(sequence), name, "-"))
-            spans.append(len(per_read))
-            collected.extend(per_read)
-        results = self._align_collected(collected)
-        out: "list[MappingResult]" = []
-        cursor = 0
-        for span in spans:
-            forward = results[cursor]
-            reverse = results[cursor + 1] if span == 2 else None
-            cursor += span
-            out.append(self.select.run(forward, reverse, self))
-        return out
-
     def _align_collected(
         self, collected: list[CollectedRead],
     ) -> "list[MappingResult]":
-        """Align every collected region through one batched dispatch.
+        """Align the collected regions in rounds; one result per
+        oriented read.
 
-        The cross-orientation work list is what makes batching pay:
-        all top-N regions of all orientations length-bucket together.
+        Without ``early_exit_distance`` one round holds every region
+        of every oriented read, so all of them length-bucket together
+        in the kernel.  With it, each round holds the next region of
+        every oriented read that has not yet found an alignment at or
+        below the distance; the regions left over are never aligned.
         """
-        items = [
-            (region.lin, batch.seeded.task.sequence, region.anchor)
-            for batch in collected
-            for region in batch.regions
-        ]
-        stats = self.stats.stage(self.align_stage.name)
-        with _timed(stats):
-            aligned = self.aligner.align_many(items,
-                                              counters=self.stats)
-        results = []
-        cursor = 0
-        for batch in collected:
-            span = aligned[cursor:cursor + len(batch.regions)]
-            cursor += len(batch.regions)
-            results.append(
-                self.align_stage.commit(batch, span, self))
-        return results
+        exit_at = self.config.early_exit_distance
+        aligned: list[list] = [[] for _ in collected]
+        if exit_at is None:
+            self._align_round([(i, region)
+                               for i, batch in enumerate(collected)
+                               for region in batch.regions],
+                              collected, aligned)
+        else:
+            def unfinished(i: int) -> bool:
+                # A read stays pending only while every earlier
+                # alignment missed the exit, so the newest decides.
+                done = aligned[i]
+                return len(done) < len(collected[i].regions) and \
+                    (not done or done[-1].distance > exit_at)
+
+            pending = [i for i in range(len(collected)) if unfinished(i)]
+            while pending:
+                self._align_round(
+                    [(i, collected[i].regions[len(aligned[i])])
+                     for i in pending],
+                    collected, aligned)
+                pending = [i for i in pending if unfinished(i)]
+        return [self.align_stage.commit(batch, done, self)
+                for batch, done in zip(collected, aligned)]
+
+    def _align_round(self, work: list, collected: list[CollectedRead],
+                     aligned: list[list]) -> None:
+        """Align ``(oriented read index, region)`` items in one
+        :meth:`~repro.core.windows.WindowedAligner.align_many` call,
+        appending each alignment to its read's list."""
+        items = [(region.lin, collected[i].seeded.task.sequence,
+                  region.anchor) for i, region in work]
+        with _timed(self.stats.stage(self.align_stage.name)):
+            results = self.aligner.align_many(items, counters=self.stats)
+        for (i, _), result in zip(work, results):
+            aligned[i].append(result)
 
 
 # ----------------------------------------------------------------------
@@ -982,12 +893,11 @@ def effective_jobs(jobs: int, read_count: int) -> int:
 class ShardContext:
     """What the generic shard runner needs from a mapping engine.
 
-    One context instance is shared with forked workers copy-on-write;
     ``map_items`` runs both in the parent (sequential fallback) and in
-    workers, where it is preceded by ``reset_stats`` so each shard's
-    statistics are accounted exactly once, then shipped back via the
-    picklable ``collect_stats`` payload and folded into the parent
-    with ``merge_stats``.
+    pool workers, where it is preceded by ``reset_stats`` so each
+    shard's statistics are accounted exactly once, then shipped back
+    via the picklable ``collect_stats`` payload and folded into the
+    parent with ``merge_stats``.
     """
 
     def map_items(self, items: Sequence) -> list:
@@ -1006,10 +916,10 @@ class ShardContext:
 def shard_items(items: Sequence, jobs: int) -> list:
     """Split ``items`` into at most ``jobs`` contiguous shards.
 
-    The one shard-boundary rule shared by the fork-per-batch path and
-    the persistent pool, so the two modes hand workers byte-identical
-    work lists (and therefore produce identical results *and*
-    identical per-shard statistics).
+    The one shard-boundary rule of every pool, so forked and
+    artifact-attached workers get byte-identical work lists (and
+    therefore produce identical results *and* identical per-shard
+    statistics).
     """
     jobs = max(1, min(jobs, len(items)))
     chunk = math.ceil(len(items) / jobs)
@@ -1017,72 +927,64 @@ def shard_items(items: Sequence, jobs: int) -> list:
             if items[i * chunk:(i + 1) * chunk]]
 
 
-_WORKER_CONTEXT: "ShardContext | None" = None
-
-
-def _shard_worker_init(context: ShardContext) -> None:
-    """Pool initializer: adopt the (forked) shard context."""
-    global _WORKER_CONTEXT
-    # Per-process cache by design: each worker installs its own
-    # context once at pool start; nothing ever reads it parent-side.
-    _WORKER_CONTEXT = context  # repro: allow[fork-safety]
-
-
-def _shard_worker_run(items):
-    context = _WORKER_CONTEXT
-    assert context is not None, "worker pool not initialized"
-    # One worker may process several shards: account each separately.
-    context.reset_stats()
-    return context.map_items(items), context.collect_stats()
-
-
 # ----------------------------------------------------------------------
-# Standing worker pool (artifact-attached)
+# Worker pool
 # ----------------------------------------------------------------------
 
 _POOL_CONTEXTS = None
 
 
 def _pool_worker_init(factory) -> None:
-    """Pool initializer: build this worker's engine from the factory.
-
-    The factory is picklable (it carries an artifact *path*, not an
-    engine), so the pool works under ``spawn`` as well as ``fork`` —
-    workers never inherit the parent's heap; they attach to the
-    memory-mapped artifact themselves.
-    """
+    """Pool initializer: build this worker's engines from the factory."""
     global _POOL_CONTEXTS
     # Per-process cache by design: each worker builds its own engine
-    # from the picklable factory; nothing ever reads it parent-side.
+    # from the factory; nothing ever reads it parent-side.
     _POOL_CONTEXTS = factory()  # repro: allow[fork-safety]
 
 
 def _pool_worker_run(payload):
     mode, items = payload
     contexts = _POOL_CONTEXTS
-    assert contexts is not None, "persistent pool not initialized"
+    assert contexts is not None, "worker pool not initialized"
     context = contexts.shard_context(mode)
     context.reset_stats()
     return context.map_items(items), context.collect_stats()
 
 
+class _InheritedContext:
+    """Pool factory for forked workers: the parent's own shard
+    context, which each worker inherits copy-on-write (the engine is
+    never pickled)."""
+
+    def __init__(self, context: ShardContext) -> None:
+        self.context = context
+
+    def __call__(self) -> "_InheritedContext":
+        return self
+
+    def shard_context(self, mode: str) -> ShardContext:
+        return self.context
+
+
 class PersistentPool:
-    """A standing worker pool whose workers own artifact-attached
-    engines.
+    """A standing worker pool; every multi-process mapping runs on one.
 
-    The fork-per-``map_batch`` path pays a pool spin-up (and, under
-    ``fork``, a copy-on-write exposure of the whole parent heap) on
-    *every* batch.  A :class:`PersistentPool` pays engine construction
-    once per worker — each worker runs ``factory()`` at start-up,
-    typically :class:`repro.api._ArtifactWorkerFactory` attaching to a
-    memory-mapped ``.sgidx`` artifact by path — and then serves any
-    number of batches, keeping its region cache warm across them.
+    Each worker runs ``factory()`` once at start-up and then serves
+    any number of batches, keeping its region cache warm across them.
+    The factory returns an object with ``shard_context(mode)``
+    (``mode`` is ``"reads"``, ``"reads_batched"`` or ``"pairs"``)
+    yielding a :class:`ShardContext` for that payload kind.  Two
+    factories exist:
 
-    The factory must be picklable and return an object with
-    ``shard_context(mode)`` (``mode`` is ``"reads"`` or ``"pairs"``),
-    yielding a :class:`ShardContext` for that payload kind.  Shard
-    boundaries come from :func:`shard_items`, the same rule the fork
-    path uses, so results are identical between the two modes.
+    * :class:`repro.api._ArtifactWorkerFactory` is picklable (it
+      carries an artifact *path*, not an engine), so the pool works
+      under ``spawn`` as well as ``fork``; workers attach to the
+      memory-mapped ``.sgidx`` artifact themselves.
+    * :func:`run_sharded` builds a one-batch ``fork`` pool whose
+      factory hands back the context the parent already built.
+
+    Shard boundaries come from :func:`shard_items` either way, so
+    results are identical between the two.
     """
 
     def __init__(self, factory, jobs: int,
@@ -1134,47 +1036,39 @@ class PersistentPool:
 def run_sharded(context: ShardContext, items: Sequence,
                 jobs: int = 1, pool: "PersistentPool | None" = None,
                 mode: str = "reads") -> list:
-    """Shard ``items`` across workers (forked or persistent).
+    """Shard ``items`` across pool workers.
 
     Contiguous shards keep neighbouring items (and therefore their
     overlapping candidate regions) on the same worker's region cache.
-    With ``pool=None`` a throwaway ``fork`` pool shares the parent's
-    index — and any warmth already in its region cache — with the
-    workers copy-on-write; with a :class:`PersistentPool` the standing
-    artifact-attached workers serve the shards (``jobs`` is ignored —
-    the pool's width governs) and only the picklable statistics
-    payloads travel.  Per-shard statistics are merged back through
-    ``context`` either way.  Results are returned in input order and
-    are identical to a sequential ``map_items`` loop — and therefore
-    identical between the two pool modes.
+    With ``pool=None`` and ``jobs > 1`` a one-batch ``fork`` pool
+    inherits ``context`` — the parent's index and any warmth already
+    in its region cache — copy-on-write; a standing
+    :class:`PersistentPool` serves the shards instead (``jobs`` is
+    then ignored — the pool's width governs).  Only items, results and
+    the picklable statistics payloads travel; per-shard statistics
+    are merged back through ``context``.  Results are returned in
+    input order and are identical to a sequential ``map_items`` loop.
     """
     items = list(items)
-    if pool is not None:
-        if not items:
-            return []
-        results: list = []
-        for shard_results, payload in pool.run(items, mode):
-            results.extend(shard_results)
-            context.merge_stats(payload)
-        return results
-    requested = jobs
-    jobs = effective_jobs(jobs, len(items))
-    if jobs == 1:
-        if requested > 1 and len(items) > 1:
-            warnings.warn(
-                "multiprocessing start method 'fork' is unavailable "
-                "on this platform; mapping sequentially",
-                RuntimeWarning, stacklevel=3,
-            )
-        return context.map_items(items)
-    shards = shard_items(items, jobs)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=len(shards),
-                  initializer=_shard_worker_init,
-                  initargs=(context,)) as worker_pool:
-        outputs = worker_pool.map(_shard_worker_run, shards)
-    results = []
-    for shard_results, payload in outputs:
+    if pool is None:
+        requested = jobs
+        jobs = effective_jobs(jobs, len(items))
+        if jobs == 1:
+            if requested > 1 and len(items) > 1:
+                warnings.warn(
+                    "multiprocessing start method 'fork' is "
+                    "unavailable on this platform; mapping "
+                    "sequentially",
+                    RuntimeWarning, stacklevel=3,
+                )
+            return context.map_items(items)
+        with PersistentPool(_InheritedContext(context), jobs,
+                            start_method="fork") as forked:
+            return run_sharded(context, items, pool=forked, mode=mode)
+    if not items:
+        return []
+    results: list = []
+    for shard_results, payload in pool.run(items, mode):
         results.extend(shard_results)
         context.merge_stats(payload)
     return results
@@ -1183,9 +1077,9 @@ def run_sharded(context: ShardContext, items: Sequence,
 class _ReadShardContext(ShardContext):
     """Shard context for single-end ``map_batch``.
 
-    ``coalesce=True`` maps each shard through the cross-read batched
-    dispatch (:meth:`MappingPipeline.map_reads_batched`) instead of a
-    per-read loop — same results, fewer kernel calls.
+    ``coalesce=True`` maps the whole shard through one
+    :meth:`MappingPipeline.map_reads` call instead of one call per
+    read — same results, fewer and wider kernel calls, more memory.
     """
 
     def __init__(self, mapper: "SeGraM",
@@ -1195,7 +1089,7 @@ class _ReadShardContext(ShardContext):
 
     def map_items(self, reads):
         if self.coalesce:
-            return self.mapper.map_reads_coalesced(reads)
+            return self.mapper.pipeline.map_reads(reads)
         return [self.mapper.map_read(sequence, name)
                 for name, sequence in reads]
 
@@ -1217,11 +1111,11 @@ def map_batch_sharded(
     coalesce: bool = False,
 ) -> "list[MappingResult]":
     """Shard ``reads`` across workers (see :func:`run_sharded` for
-    the sharing/merging contract and the two pool modes).
+    the sharing/merging contract).
 
-    ``coalesce=True`` selects the cross-read batched dispatch inside
-    each worker (the ``"reads_batched"`` pool mode) — bit-identical
-    results, fewer kernel calls per shard.
+    ``coalesce=True`` maps each shard in one call (the
+    ``"reads_batched"`` pool mode) — bit-identical results, fewer
+    kernel calls per shard.
     """
     return run_sharded(_ReadShardContext(mapper, coalesce=coalesce),
                        reads, jobs, pool=pool,

@@ -205,6 +205,30 @@ class TestMap:
         assert len(read_gaf(tmp_path / "chained.gaf")) == 3
 
 
+    @pytest.mark.parametrize("flags,field", [
+        (("--max-seeds", "-1"), "max_seeds_per_read"),
+        (("--max-seeds", "0"), "max_seeds_per_read"),
+        (("--early-exit-distance", "-1"), "early_exit_distance"),
+    ])
+    def test_map_rejects_out_of_range_knobs(self, workspace, tmp_path,
+                                            flags, field):
+        root, *_ = workspace
+        with pytest.raises(SystemExit, match=f"^error: {field}"):
+            main(["map", "--reference", str(root / "ref.fa"),
+                  "--reads", str(root / "reads.fq"),
+                  "--output", str(tmp_path / "x.gaf"), *flags])
+        assert not (tmp_path / "x.gaf").exists()
+
+    def test_serve_rejects_out_of_range_knobs(self, tmp_path):
+        # The configuration is checked before the artifact is opened,
+        # so no index is needed (and a bad flag never starts serving).
+        with pytest.raises(SystemExit,
+                           match="^error: max_seeds_per_read"):
+            main(["serve", "--index", str(tmp_path / "none.sgidx"),
+                  "--socket", str(tmp_path / "knobs.sock"),
+                  "--max-seeds", "-1"])
+
+
 class TestMapPaired:
     @pytest.fixture(scope="class")
     def paired_workspace(self, tmp_path_factory):

@@ -147,15 +147,17 @@ def _early_exit_mapper(reference: str,
                                  max_node_length=1_024)
 
 
-def _render_early_exit(backend: str | None = None) -> str:
-    """Map the early-exit workload and render it as SAM."""
+def _render_early_exit(backend: str | None = None,
+                       coalesce: bool = False) -> str:
+    """Map the early-exit workload read by read (or, with
+    ``coalesce``, in one batch) and render it as SAM."""
     reference, reads = _early_exit_workload()
     mapper = _early_exit_mapper(reference, backend)
+    results = mapper.map_batch(reads, coalesce=coalesce)
     buffer = io.StringIO()
     write_sam(buffer,
-              [result_to_sam(mapper.map_read(sequence, name),
-                             sequence, REFERENCE_NAME)
-               for name, sequence in reads],
+              [result_to_sam(result, sequence, REFERENCE_NAME)
+               for result, (_, sequence) in zip(results, reads)],
               REFERENCE_NAME, len(reference))
     return buffer.getvalue()
 
@@ -258,13 +260,14 @@ class TestGoldenOutput:
 
 
 class TestEarlyExitGolden:
+    @pytest.mark.parametrize("coalesce", [False, True])
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_sam_matches_golden_bytes(self, backend):
+    def test_sam_matches_golden_bytes(self, backend, coalesce):
         assert GOLDEN_EARLY_EXIT_SAM.exists(), \
             "early-exit golden missing; run this module with " \
             "--regenerate"
-        assert _render_early_exit(backend).encode("ascii") == \
-            GOLDEN_EARLY_EXIT_SAM.read_bytes()
+        assert _render_early_exit(backend, coalesce).encode("ascii") \
+            == GOLDEN_EARLY_EXIT_SAM.read_bytes()
 
     def test_workload_cuts_region_lists(self):
         """The exit must fire part-way for some reads and never for

@@ -149,7 +149,7 @@ class TestS2GMapping:
     def test_map_reads_batch(self, graph_mapper):
         reference, _, mapper = graph_mapper
         batch = [("r1", reference[100:300]), ("r2", reference[500:700])]
-        results = mapper.map_reads(batch)
+        results = mapper.map_batch(batch)
         assert [r.read_name for r in results] == ["r1", "r2"]
         assert all(r.mapped for r in results)
 
@@ -169,6 +169,22 @@ class TestConfigBehaviour:
         graph.add_edge(b, a)
         with pytest.raises(GraphError):
             SeGraM(graph)
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_seeds_per_read", 0), ("max_seeds_per_read", -1),
+        ("early_exit_distance", -1),
+    ])
+    def test_rejects_out_of_range_knobs(self, field, value):
+        """A negative cap used to slice ``regions[:-1]`` and silently
+        drop the last region; a negative exit never fired."""
+        with pytest.raises(ValueError, match=field):
+            SeGraMConfig(**{field: value})
+
+    def test_accepts_smallest_valid_knobs(self):
+        config = SeGraMConfig(max_seeds_per_read=1,
+                              early_exit_distance=0)
+        assert config.max_seeds_per_read == 1
+        assert config.early_exit_distance == 0
 
     def test_early_exit_stops_region_scan(self, linear_mapper):
         reference, _ = linear_mapper

@@ -301,7 +301,7 @@ class TestBatchParity:
     def test_map_reads_jobs_passthrough(self, workload):
         reference, reads = workload
         mapper = _fresh_mapper(reference)
-        results = mapper.map_reads(reads[:4], jobs=2)
+        results = mapper.map_batch(reads[:4], jobs=2)
         assert [r.read_name for r in results] == \
             [name for name, _ in reads[:4]]
 
@@ -350,14 +350,6 @@ class TestCoalescedParity:
         assert coalesced.stats.windows == per_read.stats.windows
         assert coalesced.stats.align_calls \
             < per_read.stats.align_calls
-
-    def test_early_exit_falls_back_to_per_read(self, workload):
-        reference, reads = workload
-        mapper = _fresh_mapper(reference, early_exit_distance=1000)
-        baseline = _fresh_mapper(reference, early_exit_distance=1000)
-        assert [_result_key(r) for r in
-                mapper.map_batch(reads, coalesce=True)] == \
-            [_result_key(r) for r in baseline.map_batch(reads)]
 
 
 def _counter_key(stats: PipelineStats):
@@ -426,22 +418,6 @@ class TestBatchedAlignPath:
     to dispatch work, which differs across backends by design, while
     every result-bearing counter must stay identical.
     """
-
-    def test_batched_path_matches_sequential_path(self, workload):
-        """``early_exit_distance=-1`` drives the legacy one-window-
-        at-a-time region loop without ever exiting early; the default
-        collect-then-batch path must produce identical mappings."""
-        reference, reads = workload
-        batched = _fresh_mapper(reference, align_backend="numpy")
-        sequential = _fresh_mapper(reference, align_backend="numpy",
-                                   early_exit_distance=-1)
-        fast = batched.map_batch(reads, jobs=1)
-        slow = sequential.map_batch(reads, jobs=1)
-        assert [_result_key(r) for r in fast] == \
-            [_result_key(r) for r in slow]
-        # The sequential path never reaches the batched entry point.
-        assert sequential.stats.align_windows_batched == 0
-        assert batched.stats.align_windows_batched > 0
 
     @pytest.mark.parametrize("backend,expect_batched",
                              [("numpy", True), ("python", False)])

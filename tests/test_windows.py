@@ -248,3 +248,65 @@ class TestAnchoredAlignment:
         assert result.cigar.insertions >= 3
         assert replay_alignment(result.cigar, read, result.reference) \
             == result.distance
+
+
+class TestAlignMany:
+    """``align_many`` is a dispatch change only: each item's result
+    equals the per-item :meth:`WindowedAligner.align` reference."""
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        rng = random.Random(29)
+        text = random_reference(3_000, rng)
+        chain_lin = chain(text)
+        profile = VariantProfile(
+            snp_rate=0.01, insertion_rate=0.003, deletion_rate=0.003,
+            sv_rate=0.0,
+        )
+        reference = random_reference(2_000, rng)
+        built = build_graph(reference,
+                            simulate_variants(reference, rng, profile))
+        graph_lin = linearize(built.graph)
+        assert not graph_lin.is_chain()
+
+        def noisy(fragment, rate):
+            return apply_errors(fragment, ErrorModel.illumina(rate),
+                                rng)[0]
+
+        burst = "".join(rng.choice("ACGT") for _ in range(30))
+        items = [
+            # Chain windows, unanchored and anchored, one to several
+            # windows long.
+            (chain_lin, noisy(text[100:250], 0.02), None),
+            (chain_lin, noisy(text[400:900], 0.03), (400 + 60, 60)),
+            (chain_lin, text[1_000:1_150], (1_000, 0)),
+            # An error burst forces a k-doubling rescue, so windows at
+            # different k share dispatch rounds.
+            (chain_lin, text[1_500:1_800] + burst + text[1_800:2_100],
+             (1_500 + 20, 20)),
+            # Windows with hops, unanchored and anchored.
+            (graph_lin, noisy(reference[300:450], 0.02), None),
+            (graph_lin, noisy(reference[600:1_300], 0.05), None),
+        ]
+        unanchored = WindowedAligner(WindowingConfig(k=8)).align(
+            graph_lin, items[-1][1])
+        mid = len(unanchored.path) // 2
+        items.append((graph_lin, items[-1][1],
+                      (unanchored.path[mid], mid)))
+        return items
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_matches_per_item_align(self, items, backend):
+        from repro.core.pipeline import PipelineStats
+
+        aligner = WindowedAligner(WindowingConfig(k=8), backend=backend)
+        expected = [aligner.align(lin, read, anchor)
+                    for lin, read, anchor in items]
+        counters = PipelineStats()
+        assert aligner.align_many(items, counters=counters) == expected
+        assert any(result.rescues for result in expected)
+        if backend == "numpy":
+            assert counters.align_windows_batched > 0
+
+    def test_empty(self):
+        assert WindowedAligner().align_many([]) == []

@@ -150,8 +150,11 @@ class AlignmentBackend:
 
         Returns an object interchangeable with the output of
         :func:`repro.core.bitalign.generate_bitvectors` (plus a
-        ``best_start`` method), or None to use the reference
-        recurrence.  The base implementation opts out.
+        ``best_start`` method, and optionally a ``masks`` attribute
+        holding the :func:`~repro.align.genasm.pattern_bitmasks` it
+        was built from, which the traceback then reuses), or None to
+        use the reference recurrence.  The base implementation opts
+        out.
         """
         return None
 

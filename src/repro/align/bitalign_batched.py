@@ -142,9 +142,12 @@ class _BatchedSweep:
         # they are only ever read by pad-garbage cells.
         pm = np.zeros((batch, words, n_max), dtype=np.uint64)
         full = np.empty((batch, words), dtype=np.uint64)
+        #: Unpacked pattern bitmasks per slot, for the traceback.
+        self.masks_of: list[dict[str, int]] = []
         for slot, job_index in enumerate(self.order):
             text, pattern = jobs[job_index]
-            planes, table = _pattern_mask_planes(pattern, words)
+            planes, table, masks = _pattern_mask_planes(pattern, words)
+            self.masks_of.append(masks)
             full[slot] = planes[0]
             if text:
                 codes = table[_encode_text(text)]
@@ -262,6 +265,9 @@ class BatchedRows:
         self.n = sweep.n_of[slot]
         self.m = sweep.m_of[slot]
         self.k = sweep.k
+        #: Pattern bitmasks of this problem (see :func:`repro.core.
+        #: bitalign.traceback`).
+        self.masks = sweep.masks_of[slot]
         self._mask = (1 << self.m) - 1
         self._accept = sweep.accept[slot]
         self._rows: dict[int, _BatchedLazyRow] = {}

@@ -124,13 +124,15 @@ _RESTING = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 def _pattern_mask_planes(
     pattern: str, words: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Packed pattern bitmasks plus a byte-indexed class table.
 
-    Returns ``(planes, table)``: ``planes[table[ord(c)]]`` is the
-    packed 0-active bitmask of text character ``c``.  Class 0 is the
-    all-ones mask shared by every character absent from the pattern
-    (the same default :mod:`repro.core.bitalign` applies).
+    Returns ``(planes, table, masks)``: ``planes[table[ord(c)]]`` is
+    the packed 0-active bitmask of text character ``c``.  Class 0 is
+    the all-ones mask shared by every character absent from the
+    pattern (the same default :mod:`repro.core.bitalign` applies).
+    ``masks`` is the unpacked :func:`~repro.align.genasm.
+    pattern_bitmasks` dict, kept so the traceback need not rebuild it.
     """
     masks = pattern_bitmasks(pattern)
     full = (1 << len(pattern)) - 1
@@ -146,7 +148,7 @@ def _pattern_mask_planes(
             )
         planes[index + 1] = pack_int(masks[char], words)
         table[code] = index + 1
-    return planes, table
+    return planes, table, masks
 
 
 def _encode_text(text: str) -> np.ndarray:
@@ -222,7 +224,9 @@ class _Sweep:
                     f"the {max_words}-word budget; use distance() or a "
                     "windowed aligner"
                 )
-        planes, table = _pattern_mask_planes(pattern, words)
+        planes, table, masks = _pattern_mask_planes(pattern, words)
+        #: The unpacked pattern bitmasks, handed on to the traceback.
+        self.masks = masks
         codes = table[_encode_text(text)]
         #: Word-major pattern-mask plane of the whole text: column i is
         #: the packed bitmask of text[i], so the masks of a diagonal's
@@ -398,6 +402,9 @@ class PackedAllR:
     def __init__(self, sweep: _Sweep) -> None:
         assert sweep.alld is not None
         self._sweep = sweep
+        #: Pattern bitmasks of the sweep (see :func:`repro.core.
+        #: bitalign.traceback`).
+        self.masks = sweep.masks
         self._rows: dict[int, _LazyRow] = {}
         self._cells: dict[int, int] = {}
 

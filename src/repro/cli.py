@@ -69,7 +69,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                              "filter (pipeline step 2 of Fig. 2)")
     parser.add_argument("--early-exit-distance", type=int,
                         default=None,
-                        help="align regions in rounds and stop once an "
+                        help="align distinct regions (one per seed "
+                             "diagonal) in rounds and stop once an "
                              "alignment at or below this distance is "
                              "found; regions past the exit are "
                              "extracted but not aligned")

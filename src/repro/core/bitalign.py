@@ -80,12 +80,15 @@ def generate_bitvectors(
     lin: LinearizedGraph,
     pattern: str,
     k: int,
+    masks: dict[str, int] | None = None,
 ) -> list[list[int]]:
     """Compute ``allR[i][d]`` for every position and error budget.
 
     This is the edit-distance-calculation phase of BitAlign (Algorithm 1
     lines 5–24).  Returns a list of ``k + 1`` status bitvectors per
     linearized position; all bitvectors are ``len(pattern)`` bits wide.
+    ``masks`` are the pattern's :func:`~repro.align.genasm.
+    pattern_bitmasks`, when the caller already has them.
     """
     if not pattern:
         raise ValueError("pattern must not be empty")
@@ -94,7 +97,8 @@ def generate_bitvectors(
     m = len(pattern)
     n = len(lin)
     mask = (1 << m) - 1
-    masks = pattern_bitmasks(pattern)
+    if masks is None:
+        masks = pattern_bitmasks(pattern)
     # Positions with no (in-window) successors see a virtual successor
     # whose bitvectors encode "only insertions remain" — the 0-active
     # mirror of Bitap's (1 << d) - 1 initialization.  This both allows
@@ -157,6 +161,7 @@ def traceback(
     all_r: list[list[int]],
     start: int,
     budget: int,
+    masks: dict[str, int] | None = None,
 ) -> BitAlignResult:
     """Walk the stored bitvectors forward and emit the CIGAR.
 
@@ -164,10 +169,13 @@ def traceback(
     ``all_r[start][budget]`` is 0.  Intermediate bitvectors are
     regenerated on demand; operation preference is match, substitution,
     deletion, insertion (ties resolved toward the closest successor).
+    ``masks`` are the pattern bitmasks the bitvectors were generated
+    with, when the caller has them (computed here otherwise).
     """
     m = len(pattern)
     mask = (1 << m) - 1
-    masks = pattern_bitmasks(pattern)
+    if masks is None:
+        masks = pattern_bitmasks(pattern)
     virtual = virtual_row(m, budget)
 
     def bit_is_zero(value: int, bit: int) -> bool:
@@ -303,11 +311,13 @@ def bitalign(
         if resolved.provides_chain_kernel and lin.is_chain():
             all_r = resolved.chain_bitvectors(lin.chars, pattern, k)
     if all_r is None:
-        all_r = generate_bitvectors(lin, pattern, k)
+        masks = pattern_bitmasks(pattern)
+        all_r = generate_bitvectors(lin, pattern, k, masks)
         located = _best_start(all_r, len(pattern), k, candidates=anchors)
     else:
+        masks = getattr(all_r, "masks", None)
         located = all_r.best_start(candidates=anchors)
     if located is None:
         return None
     budget, start = located
-    return traceback(lin, pattern, all_r, start, budget)
+    return traceback(lin, pattern, all_r, start, budget, masks)

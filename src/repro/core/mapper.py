@@ -70,12 +70,14 @@ class SeGraMConfig:
         early_exit_distance: stop aligning an oriented read's regions
             once one of them aligns at or below this distance (>= 0;
             None = align all regions, the paper's behaviour).  Regions
-            are then aligned in rounds, one region per unfinished
-            oriented read per round, in filter order; regions past the
-            exit are extracted but never aligned.  They contribute no
-            candidates, so second-best distances — and therefore MAPQ
-            calibration — only see the regions aligned before the exit
-            fired.
+            are then aligned in rounds, one distinct region per
+            unfinished oriented read per round, in filter order (the
+            extract stage has already collapsed regions repeating an
+            earlier region's cache key and anchor diagonal); regions
+            past the exit are extracted but never aligned.  They
+            contribute no candidates, so second-best distances — and
+            therefore MAPQ calibration — only see the regions aligned
+            before the exit fired.
         both_strands: also map the reverse-complemented read and keep
             the better orientation.
         chaining: enable the optional colinear-chaining filter

@@ -87,10 +87,12 @@ class StageStats:
             ``select``, regions for the middle stages).
         items_out: items surviving the stage.
         dropped: items discarded by the stage: regions cut by the
-            filter cap or chaining, or, in ``align``, regions left
-            unaligned by ``early_exit_distance`` (regions are aligned
-            in rounds; those past the exit are extracted but never
-            aligned).
+            filter cap or chaining; in ``extract``, regions collapsed
+            into an earlier region of the same oriented read with the
+            same cache key and anchor diagonal; in ``align``, distinct
+            regions left unaligned by ``early_exit_distance`` (regions
+            are aligned in rounds; those past the exit are extracted
+            but never aligned).
         seconds: wall time spent inside the stage.
     """
 
@@ -120,6 +122,10 @@ class PipelineStats:
     reads_mapped: int = 0
     regions_seeded: int = 0
     regions_chained: int = 0
+    #: Kept regions left after the extract stage collapses repeats of
+    #: one (region, anchor diagonal) per oriented read — the align
+    #: stage's work list.
+    regions_distinct: int = 0
     regions_aligned: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -178,6 +184,7 @@ class PipelineStats:
         self.reads_mapped += other.reads_mapped
         self.regions_seeded += other.regions_seeded
         self.regions_chained += other.regions_chained
+        self.regions_distinct += other.regions_distinct
         self.regions_aligned += other.regions_aligned
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
@@ -215,6 +222,7 @@ class PipelineStats:
             f"reads: {self.reads} total, {self.reads_mapped} mapped",
             f"regions: {self.regions_seeded} seeded -> "
             f"{self.regions_chained} kept -> "
+            f"{self.regions_distinct} distinct -> "
             f"{self.regions_aligned} aligned",
             f"region cache: {self.cache_hits} hits / "
             f"{self.cache_misses} misses "
@@ -405,7 +413,12 @@ class ExtractStage:
 
     Each region is extracted (or recalled from the
     :class:`RegionCache`) and its seed anchored in linearized
-    coordinates.
+    coordinates.  A region whose cache key and anchor diagonal
+    (``anchor[0] - anchor[1]``) repeat an earlier region of the same
+    oriented read is collapsed into it: both seeds put the read on the
+    same diagonal of the same subgraph, so aligning both would repeat
+    the work.  The earlier region (anchored at the rarer seed, in the
+    filter's order) is kept and the repeat counts as ``dropped``.
     """
 
     name = "extract"
@@ -414,6 +427,7 @@ class ExtractStage:
             pipe: "MappingPipeline") -> CollectedRead:
         stats = pipe.stats.stage(self.name)
         regions: list[PreparedRegion] = []
+        seen: set[tuple] = set()
         with _timed(stats):
             for region in seeded.regions:
                 lo, hi = pipe.node_range(region.start, region.end)
@@ -433,11 +447,17 @@ class ExtractStage:
                 anchor = (entry.offsets[local_node]
                           + region.seed.node_offset,
                           region.seed.read_start)
+                diagonal = key + (anchor[0] - anchor[1],)
+                if diagonal in seen:
+                    continue
+                seen.add(diagonal)
                 regions.append(PreparedRegion(
                     region=region, lin=entry.lin,
                     original_ids=entry.original_ids, anchor=anchor))
-            stats.items_in += len(regions)
+            stats.items_in += len(seeded.regions)
             stats.items_out += len(regions)
+            stats.dropped += len(seeded.regions) - len(regions)
+            pipe.stats.regions_distinct += len(regions)
         return CollectedRead(seeded=seeded, regions=regions)
 
 
@@ -490,9 +510,9 @@ class AlignStage:
             candidates.append(
                 self._candidate(aligned, region, task.strand, pipe))
         pipe.stats.regions_aligned += result.regions_aligned
-        stats.items_in += len(seeded.regions)
+        stats.items_in += len(collected.regions)
         stats.items_out += result.regions_aligned
-        stats.dropped += len(seeded.regions) - result.regions_aligned
+        stats.dropped += len(collected.regions) - result.regions_aligned
         commit_candidates(result, candidates,
                           pipe.config.top_n_alignments)
         return result

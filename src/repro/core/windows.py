@@ -420,7 +420,8 @@ class WindowedAligner:
         if located is None:
             return None
         budget, start = located
-        return traceback(job.window, job.chunk, rows, start, budget)
+        return traceback(job.window, job.chunk, rows, start, budget,
+                         getattr(rows, "masks", None))
 
     def _extend_steps(
         self,

@@ -12,18 +12,27 @@ import random
 
 import pytest
 
+from repro import seq as seqmod
 from repro.core.mapper import MappingResult, SeGraM, SeGraMConfig
 from repro.core.pipeline import (
     STAGE_ORDER,
+    AlignStage,
     CachedRegion,
+    ChainFilterStage,
     PipelineStats,
+    PreparedRegion,
+    ReadTask,
     RegionCache,
+    SeedStage,
+    SelectStage,
     best_of,
+    commit_candidates,
 )
 from repro.core.windows import WindowingConfig
 from repro.io.gaf import result_to_gaf
 from repro.sim.errors import ErrorModel, apply_errors
-from repro.sim.reference import random_reference
+from repro.sim.reference import random_reference, reference_with_repeats
+from repro.sim.variants import VariantProfile, simulate_variants
 
 
 CONFIG = SeGraMConfig(
@@ -83,13 +92,19 @@ class TestPipelineStats:
         assert stats.regions_chained > 0
         assert stats.regions_aligned > 0
         assert stats.regions_chained <= stats.regions_seeded
-        assert stats.regions_aligned <= stats.regions_chained
+        assert 0 < stats.regions_distinct <= stats.regions_chained
+        assert stats.regions_aligned <= stats.regions_distinct
         assert stats.windows > 0
         assert tuple(stats.stages) == STAGE_ORDER
-        seed, align = stats.stage("seed"), stats.stage("align")
+        seed, extract, align = (stats.stage("seed"),
+                                stats.stage("extract"),
+                                stats.stage("align"))
         assert seed.items_in == 4
         assert seed.items_out == stats.regions_seeded
-        assert align.items_in == stats.regions_chained
+        assert extract.items_in == stats.regions_chained
+        assert extract.items_out == stats.regions_distinct
+        assert extract.items_in == extract.items_out + extract.dropped
+        assert align.items_in == stats.regions_distinct
         assert align.items_out == stats.regions_aligned
         assert align.items_in == align.items_out + align.dropped
         for stage in stats.stages.values():
@@ -109,6 +124,9 @@ class TestPipelineStats:
                    for row in rows)
         summary = "\n".join(stats.summary_lines())
         assert "seeded" in summary and "hit rate" in summary
+        assert f"{stats.regions_chained} kept -> " \
+            f"{stats.regions_distinct} distinct -> " \
+            f"{stats.regions_aligned} aligned" in summary
 
     def test_merge_sums_counters(self):
         a, b = PipelineStats.empty(), PipelineStats.empty()
@@ -117,22 +135,153 @@ class TestPipelineStats:
         a.stage("align").items_in = 5
         b.stage("align").items_in = 7
         b.stage("align").seconds = 0.5
+        a.regions_distinct, b.regions_distinct = 4, 6
         a.merge(b)
         assert a.reads == 5
         assert a.cache_hits == 5
+        assert a.regions_distinct == 10
         assert a.stage("align").items_in == 12
         assert a.stage("align").seconds == pytest.approx(0.5)
 
     def test_early_exit_reported_as_dropped(self, workload):
         reference, _ = workload
         mapper = _fresh_mapper(reference, early_exit_distance=0)
-        read = reference[4_000:4_300]
+        # Every seed of an exact read shares one diagonal; starting
+        # two bases past the node boundary at 4000, the seeds' error
+        # margins select two node ranges, so two distinct regions
+        # remain and the exit after the first drops the second.
+        read = reference[4_002:4_302]
         result = mapper.map_read(read, "exact")
         assert result.distance == 0
         stats = mapper.pipeline.stats
-        assert stats.regions_aligned < stats.regions_chained
+        assert stats.regions_distinct == 2
+        assert stats.regions_aligned < stats.regions_distinct
         assert stats.stage("align").dropped == \
-            stats.regions_chained - stats.regions_aligned
+            stats.regions_distinct - stats.regions_aligned
+
+
+def _oracle(mapper: SeGraM, name: str, read: str):
+    """``(best, forward, reverse)`` with every kept region aligned.
+
+    Stages 1-2 run as in the pipeline; then each region the filter
+    kept is extracted, anchored and aligned with no same-diagonal
+    collapse, and the candidates are committed and selected the way
+    the pipeline commits and selects them.
+    """
+    pipe = mapper.pipeline
+    per_strand = []
+    for strand, sequence in (("+", read),
+                             ("-", seqmod.reverse_complement(read))):
+        task = ReadTask(name=name, sequence=sequence, strand=strand)
+        seeded = ChainFilterStage().run(SeedStage().run(task, pipe),
+                                        pipe)
+        prepared = []
+        for region in seeded.regions:
+            lo, hi = pipe.node_range(region.start, region.end)
+            entry = pipe.build_region_entry(lo, hi)
+            local = entry.original_ids.index(region.seed.node_id)
+            anchor = (entry.offsets[local] + region.seed.node_offset,
+                      region.seed.read_start)
+            prepared.append(PreparedRegion(
+                region=region, lin=entry.lin,
+                original_ids=entry.original_ids, anchor=anchor))
+        aligned = pipe.aligner.align_many(
+            [(p.lin, sequence, p.anchor) for p in prepared])
+        result = MappingResult(
+            read_name=name, read_length=len(sequence), mapped=False,
+            strand=strand, seeding=seeded.stats)
+        commit_candidates(
+            result,
+            [AlignStage._candidate(a, p, strand, pipe)
+             for a, p in zip(aligned, prepared)],
+            pipe.config.top_n_alignments)
+        per_strand.append(result)
+    forward, reverse = per_strand
+    return SelectStage().run(forward, reverse, pipe), forward, reverse
+
+
+def _record_key(result: MappingResult):
+    """Placement, CIGAR, MAPQ and the MAPQ calibration signal."""
+    return (result.mapped, result.strand, result.distance,
+            result.cigar, result.node_id, result.node_offset,
+            result.path_nodes, result.linear_position, result.mapq,
+            result.second_best_distance, result.candidate_count,
+            tuple(c.sort_key for c in result.candidates))
+
+
+class TestDiagonalCollapse:
+    """The extract stage aligns each (region, anchor diagonal) of an
+    oriented read once."""
+
+    def test_one_diagonal_aligns_once(self, workload):
+        reference, _ = workload
+        mapper = _fresh_mapper(reference)
+        result = mapper.map_read(reference[10_000:10_300], "exact")
+        assert result.distance == 0
+        stats = mapper.stats
+        assert stats.regions_chained == 8
+        assert stats.regions_distinct == result.regions_aligned == 1
+        assert stats.stage("extract").dropped == 7
+
+    def test_indel_between_seeds_aligns_twice(self, workload):
+        reference, _ = workload
+        mapper = _fresh_mapper(reference)
+        # A 6-base deletion after read base 40 puts the seeds before
+        # and after it on two diagonals of the same region.
+        read = reference[10_000:10_040] + reference[10_046:10_306]
+        result = mapper.map_read(read, "deletion")
+        assert result.distance == 6
+        assert mapper.stats.regions_distinct == 2
+        assert result.regions_aligned == 2
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_matches_uncollapsed_oracle(self, backend):
+        """Seeded reads with SNPs and indels on a repeat-rich variant
+        graph, on both strands: every record equals the one aligning
+        every kept region."""
+        collapsed = compared = multi_locus = 0
+        for seed in (3, 14, 27):
+            rng = random.Random(seed)
+            reference = reference_with_repeats(20_000, rng)
+            variants = simulate_variants(reference, rng, VariantProfile(
+                snp_rate=0.004, insertion_rate=0.001,
+                deletion_rate=0.001, sv_rate=0.0, small_indel_max=6))
+            config = SeGraMConfig(
+                w=10, k=15, bucket_bits=12, error_rate=0.05,
+                windowing=WindowingConfig(window_size=128, overlap=48,
+                                          k=16),
+                max_seeds_per_read=8, both_strands=True,
+                align_backend=backend)
+            mapper = SeGraM.from_reference(reference, variants,
+                                           config=config,
+                                           max_node_length=2_000)
+            reads = []
+            for i in range(10):
+                length = rng.choice((150, 150, 400))
+                start = rng.randrange(0, len(reference) - length)
+                sequence, _ = apply_errors(
+                    reference[start:start + length], ErrorModel(0.04),
+                    rng)
+                if rng.random() < 0.5:
+                    sequence = seqmod.reverse_complement(sequence)
+                reads.append((f"s{seed}r{i}", sequence))
+            mapped = mapper.pipeline.map_reads(reads)
+            stats = mapper.stats
+            collapsed += stats.regions_chained - stats.regions_distinct
+            for (name, sequence), result in zip(reads, mapped):
+                expected = [_record_key(r)
+                            for r in _oracle(mapper, name, sequence)]
+                best, forward, reverse = \
+                    mapper.pipeline.map_read_candidates(sequence, name)
+                assert _record_key(result) == expected[0], name
+                assert [_record_key(best), _record_key(forward),
+                        _record_key(reverse)] == expected, name
+                compared += 1
+                multi_locus += result.candidate_count > 1
+        assert compared == 30
+        # The collapse fired, and MAPQ saw competing loci.
+        assert collapsed > 0
+        assert multi_locus > 0
 
 
 class TestRegionCache:
@@ -356,8 +505,8 @@ def _counter_key(stats: PipelineStats):
     """Every pipeline counter except wall time."""
     return (
         stats.reads, stats.reads_mapped, stats.regions_seeded,
-        stats.regions_chained, stats.regions_aligned,
-        stats.cache_hits, stats.cache_misses, stats.windows,
+        stats.regions_chained, stats.regions_distinct,
+        stats.regions_aligned, stats.cache_hits, stats.cache_misses, stats.windows,
         stats.rescues,
         tuple((name, s.items_in, s.items_out, s.dropped)
               for name, s in stats.stages.items()),
